@@ -6,7 +6,7 @@ TIER1_BENCH = ^(BenchmarkAvailableBandwidthQuery|BenchmarkEnumerateScenarioII|Be
 BENCH_COUNT ?= 5
 BENCH_JSON ?= BENCH_$(shell date -u +%Y-%m-%d).json
 
-.PHONY: all build test vet lint lint-fix vuln hooks fuzz race bench bench-smoke bench-json bench-gate golden check e2e cover cover-gate
+.PHONY: all build test vet lint lint-fix vuln hooks fuzz race bench bench-smoke bench-json bench-gate golden check e2e cover cover-gate abwperf-check
 
 all: check
 
@@ -95,6 +95,13 @@ golden:
 # curl, SIGTERM it, and assert a clean drain with a flushed cache dir.
 e2e:
 	./scripts/e2e.sh
+
+# The repository benchmark (abwperf/, a nested module) vetted and
+# self-tested: same seed gives the same ops, the manifest matches
+# BENCHMARK.json, and every workload smoke-runs with zero failures.
+abwperf-check:
+	$(GO) -C abwperf vet ./...
+	$(GO) -C abwperf test ./...
 
 # Statement coverage over every package, and the committed floor the
 # cover-gate enforces. Raise the floor when coverage durably improves;

@@ -276,15 +276,40 @@ func (s *Session) IdleRatios(net *topology.Network, flows []Flow) ([]float64, er
 // IdleRatiosContext is IdleRatios under a context; cancelled
 // computations memoize nothing.
 func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, flows []Flow) ([]float64, error) {
+	_, idle, err := s.background(ctx, net, flows)
+	if err != nil {
+		return nil, err
+	}
+	return append([]float64(nil), idle...), nil
+}
+
+// BackgroundContext returns the flows' minimal-airtime schedule (as
+// FeasibleDemandsContext) together with the per-node idle ratios it
+// induces (as IdleRatiosContext), from one memo lookup: a flow set seen
+// before costs a map lookup and two copies, never a fresh solve or a
+// fresh estimate.NodeIdleRatios. Flows that are not jointly schedulable
+// are an error. net must be the network the session's model was built
+// on; cancelled computations memoize nothing.
+func (s *Session) BackgroundContext(ctx context.Context, net *topology.Network, flows []Flow) (schedule.Schedule, []float64, error) {
+	sched, idle, err := s.background(ctx, net, flows)
+	if err != nil {
+		return schedule.Schedule{}, nil, err
+	}
+	return copySchedule(sched), append([]float64(nil), idle...), nil
+}
+
+// background answers BackgroundContext with the memo's own schedule
+// and idle slice; the exported wrappers copy what they hand out.
+func (s *Session) background(ctx context.Context, net *topology.Network, flows []Flow) (schedule.Schedule, []float64, error) {
 	if len(flows) == 0 {
 		idle := make([]float64, net.NumNodes())
 		for i := range idle {
 			idle[i] = 1
 		}
-		return idle, nil
+		return schedule.Schedule{}, idle, nil
 	}
 	if err := validateFlows(flows); err != nil {
-		return nil, err
+		return schedule.Schedule{}, nil, err
 	}
 	paths := make([]topology.Path, 0, len(flows))
 	for _, f := range flows {
@@ -296,30 +321,33 @@ func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
 	defer tm.End()
 	s.mu.Lock()
-	if idle, ok := s.idle[key]; ok {
-		s.mu.Unlock()
-		tm.SetOutcome("hit")
-		out := make([]float64, len(idle))
-		copy(out, idle)
-		return out, nil
-	}
+	feas, feasOK := s.feas[key]
+	idle, idleOK := s.idle[key]
 	s.mu.Unlock()
+	if feasOK && idleOK {
+		tm.SetOutcome("hit")
+		return feas.sched, idle, nil
+	}
 	tm.SetOutcome("miss")
 
-	ok, sched, err := s.FeasibleDemandsContext(ctx, flows)
-	if err != nil {
-		return nil, err
+	if !feasOK {
+		ok, sched, err := FeasibleDemandsContext(ctx, s.m, flows, s.opts)
+		if err != nil {
+			return schedule.Schedule{}, nil, err
+		}
+		feas = feasResult{ok: ok, sched: sched}
+		s.mu.Lock()
+		s.feas[key] = feas
+		s.mu.Unlock()
 	}
-	if !ok {
-		return nil, fmt.Errorf("core: background flows are not jointly schedulable")
+	if !feas.ok {
+		return schedule.Schedule{}, nil, fmt.Errorf("core: background flows are not jointly schedulable")
 	}
-	idle := estimate.NodeIdleRatios(net, sched)
+	idle = estimate.NodeIdleRatios(net, feas.sched)
 	s.mu.Lock()
 	s.idle[key] = idle
 	s.mu.Unlock()
-	out := make([]float64, len(idle))
-	copy(out, idle)
-	return out, nil
+	return feas.sched, idle, nil
 }
 
 // copySchedule hands callers their own slot slice so a memoized

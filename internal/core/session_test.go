@@ -1,12 +1,14 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"sync"
 	"testing"
 
 	"abw/internal/conflict"
+	"abw/internal/estimate"
 	"abw/internal/geom"
 	"abw/internal/lp"
 	"abw/internal/memo"
@@ -213,6 +215,76 @@ func TestSessionFeasibilityMemo(t *testing.T) {
 			t.Fatal("caller mutation leaked into the memoized schedule")
 		}
 	}
+}
+
+// TestSessionBackgroundMemo pins Session.BackgroundContext: schedule and
+// idle ratios bit-identical to the cold feasibility solve and
+// estimate.NodeIdleRatios over it, a repeat answered from the memo
+// without touching the set-family cache, and handed-out slices that
+// callers may mutate freely.
+func TestSessionBackgroundMemo(t *testing.T) {
+	net := sessionNetwork(t, 9, 21)
+	m := conflict.NewPhysical(net)
+	cache := memo.New(0)
+	sess := NewSession(m, Options{Cache: cache})
+	path := randomPath(rand.New(rand.NewSource(5)), net)
+	if len(path) == 0 {
+		t.Skip("no path in topology")
+	}
+	flows := []Flow{{Path: path, Demand: 1.5}}
+
+	sched, idle, err := sess.BackgroundContext(context.Background(), net, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, schedCold, err := FeasibleDemands(m, flows, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	idleCold := estimate.NodeIdleRatios(net, schedCold)
+	sameBits := func(what string, a, b []float64) {
+		t.Helper()
+		if len(a) != len(b) {
+			t.Fatalf("%s: %d idle ratios, want %d", what, len(a), len(b))
+		}
+		for i := range a {
+			if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+				t.Fatalf("%s: node %d idle %v, want %v", what, i, a[i], b[i])
+			}
+		}
+	}
+	sameBits("first call", idle, idleCold)
+	if len(sched.Slots) != len(schedCold.Slots) {
+		t.Fatalf("%d slots, cold %d", len(sched.Slots), len(schedCold.Slots))
+	}
+	for i := range sched.Slots {
+		if sched.Slots[i].Set.Key() != schedCold.Slots[i].Set.Key() ||
+			math.Float64bits(sched.Slots[i].Share) != math.Float64bits(schedCold.Slots[i].Share) {
+			t.Fatalf("slot %d differs from the cold schedule", i)
+		}
+	}
+
+	idle[0] = -1
+	if len(sched.Slots) > 0 {
+		sched.Slots[0].Share = -1
+	}
+	lookups := cache.Stats().Lookups
+	sched2, idle2, err := sess.BackgroundContext(context.Background(), net, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := cache.Stats().Lookups; got != lookups {
+		t.Fatalf("repeat consulted the set-family cache (%d -> %d lookups)", lookups, got)
+	}
+	sameBits("repeat", idle2, idleCold)
+	if len(sched2.Slots) > 0 && math.Float64bits(sched2.Slots[0].Share) != math.Float64bits(schedCold.Slots[0].Share) {
+		t.Fatal("caller mutation leaked into the memoized schedule")
+	}
+	idle3, err := sess.IdleRatios(net, flows)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sameBits("IdleRatios", idle3, idleCold)
 }
 
 // TestSessionConcurrentQueries drives one session from many goroutines

@@ -110,10 +110,17 @@ func LinkIdleFromSchedule(m conflict.Model, sched schedule.Schedule, link topolo
 // links' alone maximum rates, and idleness comes from carrier sensing
 // the background schedule.
 func PathStateFromSchedule(net *topology.Network, m conflict.Model, sched schedule.Schedule, path topology.Path) (PathState, error) {
+	return PathStateFromIdle(net, m, NodeIdleRatios(net, sched), path)
+}
+
+// PathStateFromIdle is PathStateFromSchedule for callers that already
+// hold the schedule's per-node idle ratios (NodeIdleRatios), so a
+// background shared by many paths is sensed once. nodeIdle is only
+// read.
+func PathStateFromIdle(net *topology.Network, m conflict.Model, nodeIdle []float64, path topology.Path) (PathState, error) {
 	if len(path) == 0 {
 		return PathState{}, fmt.Errorf("estimate: empty path")
 	}
-	nodeIdle := NodeIdleRatios(net, sched)
 	idle, err := LinkIdleRatios(net, nodeIdle, path)
 	if err != nil {
 		return PathState{}, err

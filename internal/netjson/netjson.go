@@ -165,27 +165,31 @@ func parseMetric(name string) (routing.Metric, error) {
 }
 
 // queryPath resolves the query to a concrete link path, routing when
-// only endpoints are given.
-func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, error) {
+// only endpoints are given. Routing needs the background's idle ratios;
+// they are returned so the estimates reuse them (nil for an explicit
+// path, which routes nothing).
+func (s *Spec) queryPath(ctx context.Context, net *topology.Network, m conflict.Model, background []core.Flow) (topology.Path, []float64, error) {
 	if len(s.Query.Path) > 0 {
-		return nodePath(net, s.Query.Path)
+		path, err := nodePath(net, s.Query.Path)
+		return path, nil, err
 	}
 	if s.Query.Src == nil || s.Query.Dst == nil {
-		return nil, fmt.Errorf("netjson: query needs either a path or src+dst")
+		return nil, nil, fmt.Errorf("netjson: query needs either a path or src+dst")
 	}
 	metric := routing.MetricAvgE2ED
 	if s.Query.Metric != "" {
 		var err error
 		metric, err = parseMetric(s.Query.Metric)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 	}
-	idle, err := routing.BackgroundIdlenessContext(ctx, net, m, background, s.coreOptions())
+	_, idle, err := routing.BackgroundContext(ctx, net, m, background, s.coreOptions())
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return routing.FindPath(net, m, metric, idle, topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
+	path, err := routing.FindPath(net, m, metric, idle, topology.NodeID(*s.Query.Src), topology.NodeID(*s.Query.Dst))
+	return path, idle, err
 }
 
 // Solve answers the spec: exact available bandwidth (Eq. 6), the
@@ -234,7 +238,7 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 	if err != nil {
 		return nil, err
 	}
-	path, err := s.queryPath(ctx, net, m, background)
+	path, idle, err := s.queryPath(ctx, net, m, background)
 	if err != nil {
 		return nil, err
 	}
@@ -266,11 +270,14 @@ func SolveContext(ctx context.Context, s *Spec) (*Answer, error) {
 		ans.Schedule = append(ans.Schedule, sa)
 	}
 
-	sched, err := routing.BackgroundScheduleContext(ctx, m, background, s.coreOptions())
-	if err != nil {
-		return nil, err
+	// The background schedule is solved once per answer: routing already
+	// derived its idle ratios, and an explicit path derives them here.
+	if idle == nil {
+		if _, idle, err = routing.BackgroundContext(ctx, net, m, background, s.coreOptions()); err != nil {
+			return nil, err
+		}
 	}
-	ps, err := estimate.PathStateFromSchedule(net, m, sched, path)
+	ps, err := estimate.PathStateFromIdle(net, m, idle, path)
 	if err != nil {
 		return nil, err
 	}

@@ -183,21 +183,33 @@ func backgroundIdleness(ctx context.Context, net *topology.Network, m conflict.M
 		// by demand signature.
 		return sess.IdleRatiosContext(ctx, net, admitted)
 	}
+	_, idle, err := BackgroundContext(ctx, net, m, admitted, coreOpts)
+	return idle, err
+}
+
+// BackgroundContext derives both products of the admitted background
+// from one feasibility solve: the minimal-airtime schedule delivering
+// the admitted demands and the per-node idle ratios it induces
+// (estimate.NodeIdleRatios over that schedule). Callers that need the
+// schedule for estimates and the idleness for routing use this instead
+// of solving twice. With no background the schedule is empty and every
+// node is fully idle.
+func BackgroundContext(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, []float64, error) {
 	if len(admitted) == 0 {
 		idle := make([]float64, net.NumNodes())
 		for i := range idle {
 			idle[i] = 1
 		}
-		return idle, nil
+		return schedule.Schedule{}, idle, nil
 	}
 	ok, sched, err := core.FeasibleDemandsContext(ctx, m, admitted, coreOpts)
 	if err != nil {
-		return nil, fmt.Errorf("routing: background schedule: %w", err)
+		return schedule.Schedule{}, nil, fmt.Errorf("routing: background schedule: %w", err)
 	}
 	if !ok {
-		return nil, fmt.Errorf("routing: background flows are not jointly schedulable")
+		return schedule.Schedule{}, nil, fmt.Errorf("routing: background flows are not jointly schedulable")
 	}
-	return estimate.NodeIdleRatios(net, sched), nil
+	return sched, estimate.NodeIdleRatios(net, sched), nil
 }
 
 // BackgroundSchedule exposes the minimal-airtime schedule used for

@@ -149,7 +149,7 @@ func FindPathByEstimator(
 	bestScore := math.Inf(-1)
 	var best topology.Path
 	for _, cand := range cands {
-		ps, err := pathState(net, m, nodeIdle, cand.Path)
+		ps, err := estimate.PathStateFromIdle(net, m, nodeIdle, cand.Path)
 		if err != nil {
 			return nil, 0, err
 		}
@@ -166,23 +166,4 @@ func FindPathByEstimator(
 		return nil, 0, fmt.Errorf("routing: no scorable candidate from %d to %d", src, dst)
 	}
 	return best, bestScore, nil
-}
-
-func pathState(net *topology.Network, m conflict.Model, nodeIdle []float64, path topology.Path) (estimate.PathState, error) {
-	idle, err := estimate.LinkIdleRatios(net, nodeIdle, path)
-	if err != nil {
-		return estimate.PathState{}, err
-	}
-	states := estimate.PathState{Path: path, Idle: idle}
-	for _, lid := range path {
-		r := conflict.AloneMaxRate(m, lid)
-		if r <= 0 {
-			return estimate.PathState{}, fmt.Errorf("routing: link %d supports no rate", lid)
-		}
-		states.Rates = append(states.Rates, r)
-	}
-	if err := states.Validate(); err != nil {
-		return estimate.PathState{}, err
-	}
-	return states, nil
 }

@@ -28,9 +28,11 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"sort"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"abw/internal/cancel"
@@ -62,6 +64,11 @@ type Server struct {
 	cache   *memo.Cache
 	sess    *core.Session
 
+	// view is the background view of the current flow set, built on
+	// first use by viewLocked and dropped (set nil) under mu by every
+	// write to flows or net.
+	view *bgView //guards: mu
+
 	// queryTimeout bounds each request's computation (0 = unbounded).
 	// Handlers derive their context from the request's, so a client
 	// disconnect cancels the same way a deadline does.
@@ -82,6 +89,10 @@ type Server struct {
 	// use it to hold queries in flight deterministically; production
 	// leaves it nil.
 	computeHook func(context.Context)
+	// fillHook, when non-nil, runs at the start of every background-view
+	// fill with the filling request's context. Tests use it to count
+	// fills and to cancel one; production leaves it nil.
+	fillHook func(context.Context)
 }
 
 // coreOptions returns the core options every computation uses.
@@ -90,16 +101,17 @@ func (s *Server) coreOptions() core.Options {
 }
 
 // snapshot is an immutable view of the server state: the network and
-// model are immutable by construction, the background slice is a copy,
-// and the session is internally synchronized — everything a
-// computation needs without holding the state mutex.
+// model are immutable by construction, the background view is shared
+// and never mutated (its one-time fill aside), and the session is
+// internally synchronized — everything a computation needs without
+// holding the state mutex.
 type snapshot struct {
-	net        *topology.Network
-	model      *conflict.Physical
-	sess       *core.Session
-	background []core.Flow
-	gen        int
-	opts       core.Options
+	net   *topology.Network
+	model *conflict.Physical
+	sess  *core.Session
+	view  *bgView
+	gen   int
+	opts  core.Options
 }
 
 // snapshot captures the state under the mutex; ok is false when no
@@ -111,13 +123,52 @@ func (s *Server) snapshot() (*snapshot, bool) {
 		return nil, false
 	}
 	return &snapshot{
-		net:        s.net,
-		model:      s.model,
-		sess:       s.sess,
-		background: s.backgroundLocked(),
-		gen:        s.gen,
-		opts:       s.coreOptions(),
+		net:   s.net,
+		model: s.model,
+		sess:  s.sess,
+		view:  s.viewLocked(),
+		gen:   s.gen,
+		opts:  s.coreOptions(),
 	}, true
+}
+
+// bgView is the background view of one flow-set generation: the live
+// flows in id order and, filled on first use, the minimal-airtime
+// schedule delivering them (Eq. 2/4) with the per-node idle ratios it
+// induces (Sec. 4). Both depend only on the flow set, never on the
+// queried path, so every request between two writes shares one fill.
+// Nothing in a view is mutated after it is published: flows and
+// background are fixed at construction and the fill is stored once.
+type bgView struct {
+	flows      []*flowRecord // live flows in id order
+	background []core.Flow   // the same flows as demands
+	derived    atomic.Pointer[bgDerived]
+}
+
+// bgDerived is a view's fill. Readers share it and only read it.
+type bgDerived struct {
+	sched schedule.Schedule
+	idle  []float64
+}
+
+// viewLocked returns the current background view, building it from the
+// flow map when a write dropped the previous one — so its cost grows
+// with the live flows, not with every id ever issued.
+func (s *Server) viewLocked() *bgView {
+	if s.view != nil {
+		return s.view
+	}
+	flows := make([]*flowRecord, 0, len(s.flows))
+	for _, f := range s.flows {
+		flows = append(flows, f)
+	}
+	sort.Slice(flows, func(i, j int) bool { return flows[i].ID < flows[j].ID })
+	background := make([]core.Flow, 0, len(flows))
+	for _, f := range flows {
+		background = append(background, core.Flow{Path: f.path, Demand: f.Demand})
+	}
+	s.view = &bgView{flows: flows, background: background}
+	return s.view
 }
 
 type flowRecord struct {
@@ -312,6 +363,7 @@ func (s *Server) handleNetwork(w http.ResponseWriter, r *http.Request) {
 		s.net = net
 		s.model = conflict.NewPhysical(net)
 		s.flows = make(map[int]*flowRecord)
+		s.view = nil
 		s.gen++
 		if s.cache != nil {
 			// Fresh session: the old network's warm LPs are useless and
@@ -421,14 +473,9 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 	switch r.Method {
 	case http.MethodGet:
 		s.mu.Lock()
-		defer s.mu.Unlock()
-		out := make([]*flowRecord, 0, len(s.flows))
-		for id := 1; id < s.nextID; id++ {
-			if f, ok := s.flows[id]; ok {
-				out = append(out, f)
-			}
-		}
-		writeJSON(w, http.StatusOK, out)
+		flows := s.viewLocked().flows
+		s.mu.Unlock()
+		writeJSON(w, http.StatusOK, flows)
 	case http.MethodPost:
 		var req flowRequest
 		if err := s.decode(w, r, &req); err != nil {
@@ -493,6 +540,7 @@ func (s *Server) handleFlows(w http.ResponseWriter, r *http.Request) {
 		}
 		s.nextID++
 		s.flows[rec.ID] = rec
+		s.view = nil
 		s.mu.Unlock()
 		resp.Admitted = true
 		resp.Flow = rec
@@ -521,6 +569,7 @@ func (s *Server) handleFlowByID(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, rec)
 	case http.MethodDelete:
 		delete(s.flows, id)
+		s.view = nil
 		writeJSON(w, http.StatusOK, rec)
 	default:
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
@@ -541,7 +590,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	}
 	ctx, cancelCtx := s.queryContext(r)
 	defer cancelCtx()
-	sched, err := s.backgroundSchedule(ctx, snap)
+	bg, err := s.background(ctx, snap)
 	if err != nil {
 		writeComputeError(w, err)
 		return
@@ -549,7 +598,7 @@ func (s *Server) handleSchedule(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, struct {
 		TotalShare float64           `json:"totalShare"`
 		Schedule   schedule.Schedule `json:"schedule"`
-	}{TotalShare: sched.TotalShare(), Schedule: sched})
+	}{TotalShare: bg.sched.TotalShare(), Schedule: bg.sched})
 }
 
 type fairShareEntry struct {
@@ -574,20 +623,15 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 	}
 	model := s.model
 	opts := s.coreOptions()
-	var flows []core.Flow
-	var ids []int
-	var demands []float64
-	for id := 1; id < s.nextID; id++ {
-		if f, ok := s.flows[id]; ok {
-			flows = append(flows, core.Flow{Path: f.path}) // uncapped
-			ids = append(ids, f.ID)
-			demands = append(demands, f.Demand)
-		}
-	}
+	live := s.viewLocked().flows
 	s.mu.Unlock()
-	if len(flows) == 0 {
+	if len(live) == 0 {
 		writeJSON(w, http.StatusOK, []fairShareEntry{})
 		return
+	}
+	flows := make([]core.Flow, 0, len(live))
+	for _, f := range live {
+		flows = append(flows, core.Flow{Path: f.path}) // uncapped
 	}
 	// The max-min LP cascade runs unlocked like every other computation.
 	ctx, cancelCtx := s.queryContext(r)
@@ -599,7 +643,7 @@ func (s *Server) handleFairshare(w http.ResponseWriter, r *http.Request) {
 	}
 	out := make([]fairShareEntry, 0, len(alloc))
 	for i, a := range alloc {
-		out = append(out, fairShareEntry{Flow: ids[i], FairShare: a, Demand: demands[i]})
+		out = append(out, fairShareEntry{Flow: live[i].ID, FairShare: a, Demand: live[i].Demand})
 	}
 	writeJSON(w, http.StatusOK, out)
 }
@@ -632,44 +676,48 @@ func (s *Server) resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int,
 			return nil, fmt.Errorf("unknown metric %q", metricName)
 		}
 	}
-	idle, err := s.idleness(ctx, snap)
+	bg, err := s.background(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageRoute)
 	defer tm.End()
-	return routing.FindPath(snap.net, snap.model, metric, idle, topology.NodeID(*src), topology.NodeID(*dst))
+	return routing.FindPath(snap.net, snap.model, metric, bg.idle, topology.NodeID(*src), topology.NodeID(*dst))
 }
 
-// idleness derives per-node idle ratios for the snapshot's background,
-// going through the session's memo when one is active.
-func (s *Server) idleness(ctx context.Context, snap *snapshot) ([]float64, error) {
-	if snap.sess != nil {
-		return snap.sess.IdleRatiosContext(ctx, snap.net, snap.background)
-	}
-	return routing.BackgroundIdlenessContext(ctx, snap.net, snap.model, snap.background, snap.opts)
-}
-
-// backgroundSchedule returns the minimal-airtime schedule for the
-// snapshot's background, memoized through the session when one is
-// active.
-func (s *Server) backgroundSchedule(ctx context.Context, snap *snapshot) (schedule.Schedule, error) {
+// background returns the snapshot view's schedule and idle ratios,
+// filling them on the view's first use: through the session's
+// signature memo when one is active (a flow set seen before costs a
+// memo lookup), else with one feasibility solve. The schedule stage
+// records the view's outcome, hit or miss. A fill that fails or is
+// cancelled stores nothing. Concurrent first fills may both compute;
+// the first store wins, which is safe because the fill is
+// deterministic.
+func (s *Server) background(ctx context.Context, snap *snapshot) (*bgDerived, error) {
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSchedule)
 	defer tm.End()
-	if snap.sess == nil {
-		return routing.BackgroundScheduleContext(ctx, snap.model, snap.background, snap.opts)
+	if bg := snap.view.derived.Load(); bg != nil {
+		tm.SetOutcome("hit")
+		return bg, nil
 	}
-	if len(snap.background) == 0 {
-		return schedule.Schedule{}, nil
+	tm.SetOutcome("miss")
+	if s.fillHook != nil {
+		s.fillHook(ctx)
 	}
-	ok, sched, err := snap.sess.FeasibleDemandsContext(ctx, snap.background)
+	bg := new(bgDerived)
+	var err error
+	if snap.sess != nil {
+		bg.sched, bg.idle, err = snap.sess.BackgroundContext(ctx, snap.net, snap.view.background)
+	} else {
+		bg.sched, bg.idle, err = routing.BackgroundContext(ctx, snap.net, snap.model, snap.view.background, snap.opts)
+	}
 	if err != nil {
-		return schedule.Schedule{}, fmt.Errorf("background schedule: %w", err)
+		return nil, err
 	}
-	if !ok {
-		return schedule.Schedule{}, fmt.Errorf("background not schedulable")
+	if !snap.view.derived.CompareAndSwap(nil, bg) {
+		bg = snap.view.derived.Load()
 	}
-	return sched, nil
+	return bg, nil
 }
 
 // availability computes exact availability and estimates for the path
@@ -689,9 +737,9 @@ func (s *Server) availability(ctx context.Context, snap *snapshot, path topology
 	}
 	var res *core.Result
 	if snap.sess != nil {
-		res, err = snap.sess.AvailableBandwidthContext(ctx, snap.background, path)
+		res, err = snap.sess.AvailableBandwidthContext(ctx, snap.view.background, path)
 	} else {
-		res, err = core.AvailableBandwidthContext(ctx, snap.model, snap.background, path, snap.opts)
+		res, err = core.AvailableBandwidthContext(ctx, snap.model, snap.view.background, path, snap.opts)
 	}
 	if err != nil {
 		return nil, err
@@ -700,12 +748,12 @@ func (s *Server) availability(ctx context.Context, snap *snapshot, path topology
 		resp.Feasible = true
 		resp.Bandwidth = res.Bandwidth
 	}
-	sched, err := s.backgroundSchedule(ctx, snap)
+	bg, err := s.background(ctx, snap)
 	if err != nil {
 		return nil, err
 	}
 	et := obs.SpanFrom(ctx).StartStage(obs.StageEstimate)
-	ps, err := estimate.PathStateFromSchedule(snap.net, snap.model, sched, path)
+	ps, err := estimate.PathStateFromIdle(snap.net, snap.model, bg.idle, path)
 	if err != nil {
 		et.End()
 		return nil, err
@@ -737,16 +785,6 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 		Cache        memo.Stats    `json:"cache"`
 		Metrics      *obs.Snapshot `json:"metrics,omitempty"`
 	}{CacheEnabled: cache != nil, Cache: cache.Stats(), Metrics: s.metrics.Snapshot()})
-}
-
-func (s *Server) backgroundLocked() []core.Flow {
-	out := make([]core.Flow, 0, len(s.flows))
-	for id := 1; id < s.nextID; id++ {
-		if f, ok := s.flows[id]; ok {
-			out = append(out, core.Flow{Path: f.path, Demand: f.Demand})
-		}
-	}
-	return out
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) error {
