@@ -2,11 +2,13 @@ package abw
 
 import (
 	"context"
+	"runtime"
 	"testing"
 
 	"abw/internal/core"
 	"abw/internal/experiments"
 	"abw/internal/indepset"
+	"abw/internal/lp"
 	"abw/internal/memo"
 	"abw/internal/routing"
 	"abw/internal/topology"
@@ -159,6 +161,83 @@ func BenchmarkAdmitSequenceCold(b *testing.B) { benchAdmitSequence(b, nil) }
 // BenchmarkAdmitSequenceWarm runs the same sequence with the cache and
 // LP warm-starting enabled — the long-lived controller workload.
 func BenchmarkAdmitSequenceWarm(b *testing.B) { benchAdmitSequence(b, memo.New(0)) }
+
+// churnBudget is BenchmarkSessionChurn's -cachebytes: small enough
+// that even a one-iteration smoke run fills and evicts both LRUs.
+const churnBudget = 256 << 10
+
+// BenchmarkSessionChurn is the long-lived controller's write path
+// through core.Session, the shape of abwd's admit-churn workload: each
+// iteration runs 48 steps on the Fig. 2 topology, each admitting a flow
+// on one of the request paths (availability, then feasibility of the
+// grown background), tearing down the oldest past six live flows, and
+// querying two other paths against the new flow set. Every step is a
+// new flow set, so the session keeps adding warm LPs and verdicts that
+// are rarely hit again. retained-MB is the heap still live after the
+// run (after a GC): the session and family budgets bound it however
+// long the run, and the benchmark fails if the session's charged bytes
+// ever exceed the budget.
+func BenchmarkSessionChurn(b *testing.B) {
+	net, m, reqs, err := experiments.Fig2Setup()
+	if err != nil {
+		b.Fatal(err)
+	}
+	paths := make([]topology.Path, 0, len(reqs))
+	for _, rq := range reqs {
+		p, err := routing.FindPath(net, m, routing.MetricHopCount, nil, rq.Src, rq.Dst)
+		if err != nil {
+			b.Fatal(err)
+		}
+		paths = append(paths, p)
+	}
+	ctx := context.Background()
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	sess := core.NewSession(m, core.Options{Cache: memo.New(churnBudget)})
+	var live []core.Flow
+	step := 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for j := 0; j < 48; j++ {
+			step++
+			p := paths[step%len(paths)]
+			demand := 0.01 * float64(1+step%37)
+			res, err := sess.AvailableBandwidthContext(ctx, live, p)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.Status == lp.Optimal && res.Bandwidth >= demand {
+				grown := append(live[:len(live):len(live)], core.Flow{Path: p, Demand: demand})
+				ok, _, err := sess.FeasibleDemandsContext(ctx, grown)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if ok {
+					live = grown
+				}
+			}
+			if len(live) > 6 {
+				live = live[1:]
+			}
+			for q := 1; q <= 2; q++ {
+				if _, err := sess.AvailableBandwidthContext(ctx, live, paths[(step+3*q)%len(paths)]); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+	}
+	b.StopTimer()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	st := sess.Stats()
+	runtime.KeepAlive(sess)
+	if st.Bytes > st.MaxBytes || st.Evictions == 0 {
+		b.Fatalf("session memo not bounded by its budget: %+v", st)
+	}
+	b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/1e6, "retained-MB")
+}
 
 // benchAdmitGrowth is the Sec. 5.2 install workload the delta path
 // exists for: flows whose paths extend hop by hop down a chain, so each

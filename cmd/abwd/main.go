@@ -81,7 +81,7 @@ func parseArgs(args []string, stderr io.Writer) (*cliConfig, error) {
 	fs.StringVar(&cfg.addr, "addr", ":8080", "listen address")
 	fs.IntVar(&cfg.workers, "workers", 0, "enumeration workers (0 = automatic, 1 = sequential)")
 	fs.BoolVar(&cfg.cache, "cache", false, "enable the memo cache: set-family reuse, LP warm-starting, GET /v1/stats counters")
-	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "retained-bytes budget for cached set families (0 = default; implies -cache)")
+	fs.Int64Var(&cfg.cacheBytes, "cachebytes", 0, "retained-bytes budget, applied separately to the set-family cache and to the session's warm LPs and verdicts (0 = default; implies -cache)")
 	fs.StringVar(&cfg.cacheDir, "cachedir", "", "directory for the crash-safe on-disk set-family spill, so a restarted abwd warms instantly (implies -cache)")
 	fs.DurationVar(&cfg.queryTimeout, "querytimeout", 0, "per-request computation deadline, e.g. 500ms or 2s (0 = unbounded); requests past it answer 504")
 	fs.BoolVar(&cfg.metrics, "metrics", true, "serve the Prometheus exposition on GET /metrics and merge the snapshot into GET /v1/stats")
@@ -234,8 +234,10 @@ func run(args []string) int {
 	}
 	// The final counters are read after Close so DiskBytes reflects the
 	// flushed spill, not a mid-flight snapshot.
-	st := s.CacheStats()
+	st, ss := s.CacheStats(), s.SessionStats()
 	logger.Info("shutdown complete", "exit", exit,
-		"cacheEntries", st.Entries, "cacheBytes", st.Bytes, "diskBytes", st.DiskBytes)
+		"cacheEntries", st.Entries, "cacheBytes", st.Bytes, "diskBytes", st.DiskBytes,
+		"sessionEntries", ss.Entries, "sessionBytes", ss.Bytes, "sessionMaxBytes", ss.MaxBytes,
+		"sessionEvictions", ss.Evictions)
 	return exit
 }

@@ -427,12 +427,15 @@ func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, ne
 	return sol.Objective, sched.Normalized(), nil
 }
 
-// addLambdaVars declares one time-share variable per independent set,
-// named lambda[<set key>] with the given objective coefficient.
+// addLambdaVars declares one time-share variable per independent set
+// (in family order) with the given objective coefficient. They stay
+// unnamed: a name would reach only lp's non-finite-coefficient error,
+// which set rates cannot trigger, and a session retains every warm LP's
+// names.
 func addLambdaVars(prob *lp.Problem, sets []indepset.Set, objCoef float64) []lp.Var {
 	lambdas := make([]lp.Var, len(sets))
-	for i, s := range sets {
-		lambdas[i] = prob.AddVar("lambda["+s.Key()+"]", objCoef)
+	for i := range sets {
+		lambdas[i] = prob.AddVar("", objCoef)
 	}
 	return lambdas
 }

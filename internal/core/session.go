@@ -35,6 +35,13 @@ import (
 //     the repeated "is the current background still deliverable?"
 //     check before each admission step costs a map lookup.
 //
+// Layers 2 and 3 share one byte-charged LRU (memo.LRU) bounded by the
+// cache's MaxBytes — the same value as, but a separate budget from, the
+// set-family cache (DESIGN.md Sec. 10). Each warm LP is charged its
+// retained tableau, problem and set slices; each verdict its schedule
+// and idle ratios. Eviction only forces a cold re-solve, so it never
+// changes an answer beyond the warm-vs-cold tolerance above.
+//
 // Answers are exact: the warm-started optimum matches a cold
 // AvailableBandwidth solve within pivot-tolerance arithmetic noise
 // (the session property tests pin this), and set families and
@@ -42,26 +49,61 @@ import (
 //
 // A Session is safe for concurrent use. Enumeration runs outside the
 // session lock (so parallel workers and the cache's singleflight keep
-// their concurrency); only LP state and the memo maps are guarded.
+// their concurrency); LP solves and the memo run under it, so an entry
+// is never evicted while a solve runs on it.
 type Session struct {
 	m    conflict.Model
 	opts Options
 
-	mu    sync.Mutex
-	avail map[string]*availState //guards: mu
-	feas  map[string]feasResult  //guards: mu
-	idle  map[string][]float64   //guards: mu
+	mu      sync.Mutex
+	entries *memo.LRU[sessionEntry] //guards: mu — warm LPs ("lp|" keys) and background verdicts ("bg|" keys)
+}
+
+// sessionEntry is one memoized answer: the warm LP of one (universe,
+// path) pair, or the verdict on one background flow set.
+type sessionEntry struct {
+	lp *availState
+	bg bgResult
 }
 
 // NewSession wraps the model and options. The options' Cache (which
-// may be nil) also receives the session's warm/cold pivot statistics.
+// may be nil) also receives the session's warm/cold pivot statistics,
+// and its MaxBytes bounds the session's own memo (memo.DefaultMaxBytes
+// without a cache).
 func NewSession(m conflict.Model, opts Options) *Session {
-	return &Session{
-		m:     m,
-		opts:  opts,
-		avail: make(map[string]*availState),
-		feas:  make(map[string]feasResult),
-		idle:  make(map[string][]float64),
+	budget := int64(memo.DefaultMaxBytes)
+	if opts.Cache != nil {
+		budget = opts.Cache.MaxBytes()
+	}
+	return &Session{m: m, opts: opts, entries: memo.NewLRU[sessionEntry](budget)}
+}
+
+// SessionStats is a snapshot of a session's memo, shaped for the abwd
+// GET /v1/stats "session" block.
+type SessionStats struct {
+	// Entries counts retained warm LPs plus background verdicts.
+	Entries int `json:"entries"`
+	// Bytes is their charged retained size; it never exceeds MaxBytes.
+	Bytes int64 `json:"bytes"`
+	// MaxBytes is the budget (the cache's configured MaxBytes).
+	MaxBytes int64 `json:"maxBytes"`
+	// Evictions counts entries the budget pushed out.
+	Evictions int64 `json:"evictions"`
+}
+
+// Stats returns a snapshot of the session's memo; a nil session
+// reports zeros.
+func (s *Session) Stats() SessionStats {
+	if s == nil {
+		return SessionStats{}
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return SessionStats{
+		Entries:   s.entries.Len(),
+		Bytes:     s.entries.Bytes(),
+		MaxBytes:  s.entries.MaxBytes(),
+		Evictions: s.entries.Evictions(),
 	}
 }
 
@@ -77,17 +119,47 @@ type availState struct {
 	lambdas  []lp.Var
 	sets     []indepset.Set
 	universe []topology.LinkID
-	rowIdx   map[topology.LinkID]int
+	// linkRow0 is the row of universe[0]'s throughput constraint; the
+	// link rows follow in universe order.
+	linkRow0 int
 
 	// coldPivots remembers the last from-scratch solve's pivot count,
 	// the baseline "pivots saved" is measured against.
 	coldPivots int
 }
 
-// feasResult memoizes one FeasibleDemands verdict.
-type feasResult struct {
+// bytes charges the state's retained size under key: the solver's
+// problem and tableau, the lambda and universe slices, and the set
+// slice with the couples it keeps alive.
+func (st *availState) bytes(key string) int64 {
+	const stateBytes = 96
+	n := memo.EntryOverhead + stateBytes + int64(len(key)) + st.w.RetainedBytes()
+	n += 8*int64(len(st.lambdas)) + 8*int64(len(st.universe))
+	for i := range st.sets {
+		n += memo.SetBytes(st.sets[i])
+	}
+	return n
+}
+
+// bgResult memoizes one background flow set: its FeasibleDemands
+// verdict and schedule and, once BackgroundContext has asked, the node
+// idle ratios the schedule induces. Stored values are never mutated; a
+// fill replaces the entry.
+type bgResult struct {
 	ok    bool
 	sched schedule.Schedule
+	idle  []float64 // nil until filled
+}
+
+// bytes charges the result's retained size under key: the slots with
+// the couples their sets keep alive, and the idle ratios.
+func (r bgResult) bytes(key string) int64 {
+	const resultBytes, shareBytes = 64, 8
+	n := memo.EntryOverhead + resultBytes + int64(len(key)) + 8*int64(len(r.idle))
+	for i := range r.sched.Slots {
+		n += shareBytes + memo.SetBytes(r.sched.Slots[i].Set)
+	}
+	return n
 }
 
 // AvailableBandwidth is the session-accelerated equivalent of the
@@ -129,13 +201,16 @@ func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Fl
 
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := s.avail[key]
-	if st == nil {
+	e, ok := s.entries.Get(key)
+	st := e.lp
+	if !ok {
 		st, err = newAvailState(universe, newPath, sets)
 		if err != nil {
 			return nil, err
 		}
-		s.avail[key] = st
+		// A state larger than the whole budget is not retained; the
+		// solve below still runs on it.
+		s.entries.Add(key, sessionEntry{lp: st}, st.bytes(key))
 	}
 	return st.solve(ctx, s.opts.Cache, demand)
 }
@@ -162,13 +237,12 @@ func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []ind
 
 	newCount := linkCount(newPath)
 	rows := lambdaRows(universe, sets, lambdas)
-	rowIdx := make(map[topology.LinkID]int, len(universe))
+	linkRow0 := prob.NumConstraints()
 	for li, link := range universe {
 		row := rows[li]
 		if c := newCount[link]; c > 0 {
 			row[f] = -float64(c)
 		}
-		rowIdx[link] = prob.NumConstraints()
 		if err := prob.AddOwnedConstraint(linkConsName(link), row, lp.GE, 0); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
@@ -178,7 +252,7 @@ func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []ind
 		lambdas:  lambdas,
 		sets:     sets,
 		universe: universe,
-		rowIdx:   rowIdx,
+		linkRow0: linkRow0,
 	}, nil
 }
 
@@ -186,8 +260,8 @@ func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []ind
 // the retained tableau allows it, cold otherwise — reporting pivots
 // into the cache counters.
 func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand map[topology.LinkID]float64) (*Result, error) {
-	for _, link := range st.universe {
-		if err := st.w.SetRHS(st.rowIdx[link], demand[link]); err != nil {
+	for li, link := range st.universe {
+		if err := st.w.SetRHS(st.linkRow0+li, demand[link]); err != nil {
 			return nil, fmt.Errorf("core: %w", err)
 		}
 	}
@@ -244,22 +318,17 @@ func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (boo
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
 	defer tm.End()
-	s.mu.Lock()
-	if r, ok := s.feas[key]; ok {
-		s.mu.Unlock()
+	if r, ok := s.lookupBackground(key); ok {
 		tm.SetOutcome("hit")
 		return r.ok, copySchedule(r.sched), nil
 	}
-	s.mu.Unlock()
 	tm.SetOutcome("miss")
 
 	ok, sched, err := FeasibleDemandsContext(ctx, s.m, flows, s.opts)
 	if err != nil {
 		return ok, sched, err
 	}
-	s.mu.Lock()
-	s.feas[key] = feasResult{ok: ok, sched: sched}
-	s.mu.Unlock()
+	s.storeBackground(key, bgResult{ok: ok, sched: sched})
 	return ok, copySchedule(sched), nil
 }
 
@@ -320,34 +389,50 @@ func (s *Session) background(ctx context.Context, net *topology.Network, flows [
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)
 	defer tm.End()
-	s.mu.Lock()
-	feas, feasOK := s.feas[key]
-	idle, idleOK := s.idle[key]
-	s.mu.Unlock()
-	if feasOK && idleOK {
+	r, hit := s.lookupBackground(key)
+	if hit && r.idle != nil {
 		tm.SetOutcome("hit")
-		return feas.sched, idle, nil
+		return r.sched, r.idle, nil
 	}
 	tm.SetOutcome("miss")
 
-	if !feasOK {
+	if !hit {
 		ok, sched, err := FeasibleDemandsContext(ctx, s.m, flows, s.opts)
 		if err != nil {
 			return schedule.Schedule{}, nil, err
 		}
-		feas = feasResult{ok: ok, sched: sched}
-		s.mu.Lock()
-		s.feas[key] = feas
-		s.mu.Unlock()
+		r = bgResult{ok: ok, sched: sched}
+		if !ok {
+			s.storeBackground(key, r)
+		}
 	}
-	if !feas.ok {
+	if !r.ok {
 		return schedule.Schedule{}, nil, fmt.Errorf("core: background flows are not jointly schedulable")
 	}
-	idle = estimate.NodeIdleRatios(net, feas.sched)
+	r.idle = estimate.NodeIdleRatios(net, r.sched)
+	s.storeBackground(key, r)
+	return r.sched, r.idle, nil
+}
+
+// lookupBackground returns the memoized verdict for a feasKey.
+func (s *Session) lookupBackground(key string) (bgResult, bool) {
 	s.mu.Lock()
-	s.idle[key] = idle
-	s.mu.Unlock()
-	return feas.sched, idle, nil
+	defer s.mu.Unlock()
+	e, ok := s.entries.Get(key)
+	return e.bg, ok
+}
+
+// storeBackground memoizes r under a feasKey, unless a concurrent fill
+// already stored as much (the same verdict, with idle ratios when r
+// has none): results for one key are identical, so the first complete
+// one wins.
+func (s *Session) storeBackground(key string, r bgResult) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.entries.Get(key); ok && (old.bg.idle != nil || r.idle == nil) {
+		return
+	}
+	s.entries.Add(key, sessionEntry{bg: r}, r.bytes(key))
 }
 
 // copySchedule hands callers their own slot slice so a memoized
@@ -367,6 +452,7 @@ func copySchedule(in schedule.Schedule) schedule.Schedule {
 // permutations of the same multiset share a state.
 func availKey(universe []topology.LinkID, newPath topology.Path) string {
 	var b strings.Builder
+	b.WriteString("lp|")
 	for i, l := range universe {
 		if i > 0 {
 			b.WriteByte(',')
@@ -396,6 +482,7 @@ func availKey(universe []topology.LinkID, newPath topology.Path) string {
 // demands share a verdict).
 func feasKey(universe []topology.LinkID, demand map[topology.LinkID]float64) string {
 	var b strings.Builder
+	b.WriteString("bg|")
 	for i, l := range universe {
 		if i > 0 {
 			b.WriteByte(',')

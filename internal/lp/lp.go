@@ -138,9 +138,10 @@ func (p *Problem) SetObjCoef(v Var, c float64) error {
 	return nil
 }
 
-// VarName returns the name given to v at creation.
+// VarName returns the name given to v at creation, or x<index> for a
+// variable created unnamed or a handle out of range.
 func (p *Problem) VarName(v Var) string {
-	if int(v) < 0 || int(v) >= len(p.varNames) {
+	if int(v) < 0 || int(v) >= len(p.varNames) || p.varNames[v] == "" {
 		return fmt.Sprintf("x%d", int(v))
 	}
 	return p.varNames[v]
@@ -359,19 +360,14 @@ type tableau struct {
 	pivots int
 }
 
-// newTableau builds the initial tableau for p: rows normalized to a
-// non-negative rhs, slack columns first, artificial columns last, the
-// starting basis on the identity columns.
-func (p *Problem) newTableau() *tableau {
-	n := len(p.obj)
-	m := len(p.cons)
-
-	// Count auxiliary columns.
-	nSlack := 0
-	nArt := 0
+// auxColumns counts the slack and artificial columns the tableau of p
+// gets: one slack per LE row, a slack and an artificial per GE row, an
+// artificial per EQ row, after negative-rhs rows are negated (which
+// swaps LE and GE).
+func (p *Problem) auxColumns() (nSlack, nArt int) {
 	for _, c := range p.cons {
-		rhs, rel := c.rhs, c.rel
-		if rhs < 0 { // normalized below: row negation flips the relation
+		rel := c.rel
+		if c.rhs < 0 {
 			switch rel {
 			case LE:
 				rel = GE
@@ -389,6 +385,16 @@ func (p *Problem) newTableau() *tableau {
 			nArt++
 		}
 	}
+	return nSlack, nArt
+}
+
+// newTableau builds the initial tableau for p: rows normalized to a
+// non-negative rhs, slack columns first, artificial columns last, the
+// starting basis on the identity columns.
+func (p *Problem) newTableau() *tableau {
+	n := len(p.obj)
+	m := len(p.cons)
+	nSlack, nArt := p.auxColumns()
 	total := n + nSlack + nArt
 
 	tb := &tableau{

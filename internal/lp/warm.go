@@ -182,6 +182,50 @@ func (w *WarmSolver) ResolveContext(ctx context.Context) (*Solution, bool, error
 	return sol, false, nil
 }
 
+// RetainedBytes approximates the heap the solver keeps alive between
+// resolves: the problem's names, objective, constraints and their
+// coefficient maps, and the dense tableau a solve retains (its rows
+// plus rhs column, 8·rows·(cols+1) bytes, and the per-row and
+// per-column bookkeeping). The tableau is charged at the shape the
+// problem builds whether or not one is retained right now — the next
+// Resolve retains one — so the charge depends only on the problem.
+func (w *WarmSolver) RetainedBytes() int64 {
+	const (
+		headerBytes     = 256 // WarmSolver, Problem and tableau structs
+		constraintBytes = 40  // name + coefs + rel + rhs
+		rowHeaderBytes  = 48  // row slice header, basis, rowSign, unitCol
+	)
+	p := w.p
+	n := int64(headerBytes)
+	n += int64(cap(p.varNames))*16 + int64(cap(p.obj))*8 + int64(cap(p.cons))*constraintBytes
+	for _, name := range p.varNames {
+		n += int64(len(name))
+	}
+	for _, c := range p.cons {
+		n += int64(len(c.name)) + coefMapBytes(len(c.coefs))
+	}
+	nSlack, nArt := p.auxColumns()
+	rows, cols := int64(len(p.cons)), int64(len(p.obj)+nSlack+nArt)
+	n += 8 * rows * (cols + 1)
+	n += rows*rowHeaderBytes + cols + 3*8*cols // + isArt, cost scratch
+	return n
+}
+
+// coefMapBytes approximates a map[Var]float64 of k entries: a header,
+// then 8-slot groups of 16-byte slots plus a control word, grown by
+// doubling at 7/8 load.
+func coefMapBytes(k int) int64 {
+	const headerBytes, slotBytes = 48, 17
+	if k == 0 {
+		return headerBytes
+	}
+	slots := 8
+	for slots*7/8 < k {
+		slots *= 2
+	}
+	return headerBytes + int64(slots)*slotBytes
+}
+
 // LastPivots returns the pivot count of the most recent Solve/Resolve.
 func (w *WarmSolver) LastPivots() int { return w.lastPivots }
 

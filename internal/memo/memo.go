@@ -29,7 +29,6 @@
 package memo
 
 import (
-	"container/list"
 	"context"
 	"errors"
 	"strconv"
@@ -62,24 +61,21 @@ type Cache struct {
 	store *Store
 
 	mu       sync.Mutex
-	entries  map[string]*list.Element //guards: mu — key -> *entry element
-	ll       *list.List               //guards: mu — front = most recently used
-	bytes    int64                    //guards: mu — retained bytes
-	inflight map[string]*flight       //guards: mu
+	families *LRU[*entry]       //guards: mu — retained families, charged by insertLocked
+	inflight map[string]*flight //guards: mu
 
 	// Counters. Every access goes through sync/atomic (the
 	// abw/atomicfield lint rule enforces it): Stats() must be callable
-	// concurrently with enumerations without taking mu. Exception:
-	// evictions only changes under mu (insertLocked), so Stats loads it
-	// inside the same critical section as entries/bytes — the three
-	// describe one shape and must tear together or not at all.
+	// concurrently with enumerations without taking mu. The LRU's own
+	// entries, bytes and evictions only change under mu, so Stats reads
+	// them in one critical section — the three describe one shape and
+	// must tear together or not at all.
 	lookups        int64
 	hits           int64
 	misses         int64
 	deltaHits      int64
 	deltaFallbacks int64
 	bypasses       int64
-	evictions      int64
 	merges         int64
 	cancellations  int64
 	deltaOff       int32
@@ -105,11 +101,9 @@ var (
 const maxDeltaLinks = 8
 
 type entry struct {
-	key      string
 	universe []topology.LinkID // canonical universe the family was enumerated over
 	sets     []indepset.Set
 	explored int64 // exact exploration count (indepset.DeltaBase.Explored)
-	size     int64
 }
 
 // flight is one in-progress enumeration other goroutines may join.
@@ -128,11 +122,13 @@ func New(maxBytes int64) *Cache {
 	}
 	return &Cache{
 		maxBytes: maxBytes,
-		entries:  make(map[string]*list.Element),
-		ll:       list.New(),
+		families: NewLRU[*entry](maxBytes),
 		inflight: make(map[string]*flight),
 	}
 }
+
+// MaxBytes returns the configured retained-bytes budget.
+func (c *Cache) MaxBytes() int64 { return c.maxBytes }
 
 // SetStore attaches the on-disk spill: misses consult it before
 // enumerating and complete families are written behind the query path.
@@ -317,9 +313,8 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 	}
 
 	c.mu.Lock()
-	if el, hit := c.entries[key]; hit {
-		c.ll.MoveToFront(el)
-		sets := el.Value.(*entry).sets
+	if e, hit := c.families.Get(key); hit {
+		sets := e.sets
 		c.mu.Unlock()
 		atomic.AddInt64(&c.hits, 1)
 		tm.SetOutcome("hit")
@@ -474,20 +469,20 @@ func (c *Cache) findDeltaBase(prefix string, universe []topology.LinkID) (indeps
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	var best *entry
+	var bestKey string
 	bestDiff := maxDeltaLinks + 1
-	for el := c.ll.Front(); el != nil; el = el.Next() {
-		e := el.Value.(*entry)
-		if !strings.HasPrefix(e.key, prefix) {
-			continue
+	c.families.Each(func(key string, e *entry) {
+		if !strings.HasPrefix(key, prefix) {
+			return
 		}
 		diff, sub := universeDiff(e.universe, universe)
 		if !sub || diff < 1 || diff > maxDeltaLinks {
-			continue
+			return
 		}
-		if diff < bestDiff || (diff == bestDiff && e.key < best.key) {
-			best, bestDiff = e, diff
+		if diff < bestDiff || (diff == bestDiff && key < bestKey) {
+			best, bestKey, bestDiff = e, key, diff
 		}
-	}
+	})
 	if best == nil {
 		return indepset.DeltaBase{}, false
 	}
@@ -583,53 +578,39 @@ func (c *Cache) countCanceled(sets []indepset.Set, truncated bool, err error) ([
 	return sets, truncated, err
 }
 
-// insertLocked stores a complete family and evicts LRU entries until
-// the byte budget holds again. An entry larger than the whole budget is
-// inserted and immediately evicted, so it never displaces useful state
-// for long. A key already present is only refreshed (delta chains can
-// insert an intermediate universe another lookup cached concurrently).
-// Caller holds mu.
+// insertLocked stores a complete family in the LRU, which evicts the
+// least recently used families until the byte budget holds again (a
+// family larger than the whole budget is not kept and displaces
+// nothing). A key already present is only refreshed (delta chains can insert an
+// intermediate universe another lookup cached concurrently). Caller
+// holds mu.
 func (c *Cache) insertLocked(key string, universe []topology.LinkID, sets []indepset.Set, explored int64) {
-	if el, dup := c.entries[key]; dup {
-		c.ll.MoveToFront(el)
+	if _, dup := c.families.Get(key); dup {
 		return
 	}
-	e := &entry{
-		key:      key,
-		universe: universe,
-		sets:     sets,
-		explored: explored,
-		size:     familyBytes(key, sets) + int64(8*len(universe)),
+	size := EntryOverhead + int64(len(key)) + int64(8*len(universe))
+	for i := range sets {
+		size += SetBytes(sets[i])
 	}
-	c.entries[key] = c.ll.PushFront(e)
-	c.bytes += e.size
-	for c.bytes > c.maxBytes && c.ll.Len() > 0 {
-		back := c.ll.Back()
-		if back == nil {
-			break
-		}
-		ev := back.Value.(*entry)
-		c.ll.Remove(back)
-		delete(c.entries, ev.key)
-		c.bytes -= ev.size
-		atomic.AddInt64(&c.evictions, 1)
-	}
+	c.families.Add(key, &entry{universe: universe, sets: sets, explored: explored}, size)
 }
 
-// familyBytes approximates the retained size of a cached family: the
-// key, each set's couples and cached key string, and fixed per-set
-// overhead for the Set header and bookkeeping.
-func familyBytes(key string, sets []indepset.Set) int64 {
+// EntryOverhead is the fixed charge of one LRU entry: its list element,
+// map slot, item and value header.
+const EntryOverhead = 96
+
+// SetBytes approximates the retained size of one set: its couples, its
+// cached key string, and fixed overhead for the Set header and
+// bookkeeping. Callers that retain sets outside the cache
+// (core.Session's warm LPs and schedules) charge them with the same
+// function: the couples are shared with the cached family, but they
+// stay alive after the cache evicts it.
+func SetBytes(set indepset.Set) int64 {
 	const (
-		coupleBytes   = 16 // LinkID + Rate
-		setOverhead   = 48 // Set header + slice header + key header
-		entryOverhead = 96 // entry struct + list element + map slot
+		coupleBytes = 16 // LinkID + Rate
+		setOverhead = 48 // Set header + slice header + key header
 	)
-	n := int64(entryOverhead + len(key))
-	for i := range sets {
-		n += setOverhead + int64(len(sets[i].Couples))*coupleBytes + int64(len(sets[i].Key()))
-	}
-	return n
+	return setOverhead + int64(len(set.Couples))*coupleBytes + int64(len(set.Key()))
 }
 
 // copyFamily returns a fresh slice header over the shared Set values,
@@ -732,9 +713,9 @@ func (c *Cache) Stats() Stats {
 	// new entry counted without its bytes, or an eviction without its
 	// byte decrement.
 	c.mu.Lock()
-	entries := len(c.entries)
-	bytes := c.bytes
-	evictions := atomic.LoadInt64(&c.evictions)
+	entries := c.families.Len()
+	bytes := c.families.Bytes()
+	evictions := c.families.Evictions()
 	c.mu.Unlock()
 	diskHits, diskMisses, diskErrors, diskBytes := c.store.statsSnapshot()
 	return Stats{

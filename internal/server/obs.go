@@ -87,9 +87,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	_ = s.metrics.WritePrometheus(w)
 }
 
-// refreshCacheMetrics mirrors the memo-cache counters into gauges at
-// scrape time, so /metrics and /v1/stats expose the same numbers from
-// the same snapshot source instead of maintaining parallel counters.
+// refreshCacheMetrics mirrors the memo-cache and session counters into
+// gauges at scrape time, so /metrics and /v1/stats expose the same
+// numbers from the same snapshot source instead of maintaining parallel
+// counters.
 func (s *Server) refreshCacheMetrics() {
 	st := s.CacheStats()
 	set := func(name, help string, v int64) {
@@ -112,6 +113,11 @@ func (s *Server) refreshCacheMetrics() {
 	set("abw_lp_warm_pivots", "simplex pivots spent by warm re-solves", st.WarmPivots)
 	set("abw_lp_warm_resolves", "LP re-solves answered from a warm basis", st.WarmResolves)
 	set("abw_lp_pivots_saved", "estimated pivots avoided by warm-starting", st.PivotsSaved)
+	ss := s.SessionStats()
+	set("abw_session_entries", "warm LPs and background verdicts retained by the session (mirrors /v1/stats session.entries)", int64(ss.Entries))
+	set("abw_session_bytes", "bytes the session's warm LPs and verdicts are charged", ss.Bytes)
+	set("abw_session_max_bytes", "session memo budget (the -cachebytes value)", ss.MaxBytes)
+	set("abw_session_evictions", "session warm LPs and verdicts evicted by the budget", ss.Evictions)
 }
 
 // handlerLabel names the route for the HTTP series: bounded cardinality

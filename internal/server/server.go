@@ -11,7 +11,7 @@
 //	POST   /v1/flows          route, check and admit a flow
 //	GET    /v1/flows          list admitted flows
 //	DELETE /v1/flows/{id}     tear a flow down, freeing its bandwidth
-//	GET    /v1/stats          memo-cache and warm-start counters (also /stats)
+//	GET    /v1/stats          memo-cache, session and warm-start counters (also /stats)
 //
 // The server is safe for concurrent use. The state mutex is held only
 // long enough to snapshot or mutate state — availability computation
@@ -276,6 +276,16 @@ func (s *Server) SetCacheDir(dir string) error {
 // CacheStats returns the memo-cache counters (zero when caching is
 // disabled).
 func (s *Server) CacheStats() memo.Stats { return s.cache.Stats() }
+
+// SessionStats returns the current session's warm-LP and verdict memo
+// counters (zero when caching is disabled). A network install starts a
+// fresh session, so they describe the installed network only.
+func (s *Server) SessionStats() core.SessionStats {
+	s.mu.Lock()
+	sess := s.sess
+	s.mu.Unlock()
+	return sess.Stats()
+}
 
 // Close flushes and closes the cache's on-disk store, if any, so every
 // family enumerated so far survives to warm the next process. The
@@ -769,22 +779,23 @@ func (s *Server) availability(ctx context.Context, snap *snapshot, path topology
 	return resp, nil
 }
 
-// handleStats serves the memo-cache and warm-start counters.
+// handleStats serves the memo-cache, session and warm-start counters.
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		writeError(w, http.StatusMethodNotAllowed, "method %s not allowed", r.Method)
 		return
 	}
 	s.mu.Lock()
-	cache := s.cache
+	cache, sess := s.cache, s.sess
 	s.mu.Unlock()
 	// Metrics is nil when observability is off, and the omitempty keeps
-	// the stats body byte-identical to the pre-obs wire form then.
+	// the stats body free of it then.
 	writeJSON(w, http.StatusOK, struct {
-		CacheEnabled bool          `json:"cacheEnabled"`
-		Cache        memo.Stats    `json:"cache"`
-		Metrics      *obs.Snapshot `json:"metrics,omitempty"`
-	}{CacheEnabled: cache != nil, Cache: cache.Stats(), Metrics: s.metrics.Snapshot()})
+		CacheEnabled bool              `json:"cacheEnabled"`
+		Cache        memo.Stats        `json:"cache"`
+		Session      core.SessionStats `json:"session"`
+		Metrics      *obs.Snapshot     `json:"metrics,omitempty"`
+	}{CacheEnabled: cache != nil, Cache: cache.Stats(), Session: sess.Stats(), Metrics: s.metrics.Snapshot()})
 }
 
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v interface{}) error {
