@@ -30,15 +30,17 @@ lint:
 lint-fix:
 	$(GO) run ./cmd/abwlint -fix ./...
 
-# Bounded native fuzzing of the LP solver, the netjson codec, and the
-# memo cache (key fingerprint + on-disk family format); CI runs the
-# same targets for 30s each.
+# Bounded native fuzzing of the LP solver, the netjson codec, the memo
+# cache (key fingerprint + on-disk family format), and delta
+# enumeration against the full walk; CI runs the same targets for 30s
+# each.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test -run='^$$' -fuzz=FuzzSimplex -fuzztime=$(FUZZTIME) ./internal/lp/
 	$(GO) test -run='^$$' -fuzz=FuzzNetjson -fuzztime=$(FUZZTIME) ./internal/netjson/
 	$(GO) test -run='^$$' -fuzz=FuzzCacheKey -fuzztime=$(FUZZTIME) ./internal/memo/
 	$(GO) test -run='^$$' -fuzz=FuzzStoreRoundTrip -fuzztime=$(FUZZTIME) ./internal/memo/
+	$(GO) test -run='^$$' -fuzz=FuzzEnumerateDelta -fuzztime=$(FUZZTIME) ./internal/indepset/
 
 test:
 	$(GO) test ./...

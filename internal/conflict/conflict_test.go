@@ -125,26 +125,6 @@ func TestPhysicalCumulativeInterference(t *testing.T) {
 	}
 }
 
-func TestPhysicalMaxRateVector(t *testing.T) {
-	net, path := chainNet(t, 4, 50)
-	m := NewPhysical(net)
-	// Links 0 and 2 share no node (0->1, 2->3). At 50m spacing the gap
-	// is only 50m, so they interfere heavily: expect low or zero rates.
-	rates, _ := m.MaxRateVector([]topology.LinkID{path[0], path[2]})
-	if len(rates) != 2 {
-		t.Fatalf("rate vector length %d, want 2", len(rates))
-	}
-	// Adjacent links share a node: infeasible.
-	if _, ok := m.MaxRateVector([]topology.LinkID{path[0], path[1]}); ok {
-		t.Error("adjacent links should not form an independent set")
-	}
-	// Singleton always works.
-	r, ok := m.MaxRateVector([]topology.LinkID{path[0]})
-	if !ok || r[0] != 54 {
-		t.Errorf("singleton = (%v, %v), want (54, true)", r, ok)
-	}
-}
-
 func TestFeasibleRejectsDuplicateLink(t *testing.T) {
 	net, path := chainNet(t, 2, 50)
 	m := NewPhysical(net)

@@ -151,37 +151,3 @@ func TestSetTrackerMatchesMaxRate(t *testing.T) {
 		t.Fatal("walk checked nothing")
 	}
 }
-
-// TestMaxRateVectorMatchesMaxRate pins the one-shot wrapper to the
-// from-scratch model on chains of varying contention.
-func TestMaxRateVectorMatchesMaxRate(t *testing.T) {
-	for _, spacing := range []float64{60, 100, 150} {
-		net, links := chainNet(t, 5, spacing)
-		m := NewPhysical(net)
-		for mask := 1; mask < 1<<len(links); mask++ {
-			var sub []topology.LinkID
-			var cs []Couple
-			for i, l := range links {
-				if mask&(1<<i) != 0 {
-					sub = append(sub, l)
-					cs = append(cs, Couple{Link: l, Rate: 6})
-				}
-			}
-			rates, ok := m.MaxRateVector(sub)
-			allOK := true
-			for i, l := range sub {
-				fresh := m.MaxRate(l, cs)
-				if rates[i] != fresh {
-					t.Fatalf("spacing %g, set %v: vector[%d] = %v, fresh MaxRate = %v",
-						spacing, sub, i, rates[i], fresh)
-				}
-				if fresh == 0 {
-					allOK = false
-				}
-			}
-			if ok != allOK {
-				t.Fatalf("spacing %g, set %v: ok = %v, want %v", spacing, sub, ok, allOK)
-			}
-		}
-	}
-}

@@ -149,35 +149,13 @@ func (p *Physical) MinPositiveRate(link topology.LinkID) radio.Rate {
 	return min
 }
 
-// MaxRateVector returns the maximum supported rate vector of a concurrent
-// transmission set (paper Sec. 2.3): the i-th entry is the highest rate
-// links[i] sustains while all the other listed links transmit. The
-// second return is false if any link in the set cannot transmit at all
-// (the set is not an independent set).
-func (p *Physical) MaxRateVector(links []topology.LinkID) ([]radio.Rate, bool) {
-	t := p.NewSetTracker(links)
-	for i := range links {
-		t.Push(i)
-	}
-	rates := make([]radio.Rate, len(links))
-	ok := true
-	for i := range links {
-		rates[i] = t.MaxRate(i)
-		if rates[i] == 0 {
-			ok = false
-		}
-	}
-	return rates, ok
-}
-
 // SetTracker incrementally evaluates maximum supported rates of a
 // growing and shrinking concurrent transmission set over a fixed link
 // universe. Because transmit powers are fixed, the interference power a
 // set deposits at each receiver is a plain sum over its members
 // (Eq. 3), so a DFS over subsets can maintain one running sum per
 // receiver across Push/Pop instead of recomputing the O(L^2) total at
-// every node. Enumeration (internal/indepset) drives this; MaxRateVector
-// is the one-shot wrapper.
+// every node. Enumeration (internal/indepset) drives this.
 //
 // Positions index into the universe passed to NewSetTracker. Push order
 // defines the summation order, matching MaxRate's couple order, so the

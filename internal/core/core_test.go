@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -123,7 +124,7 @@ func TestScenarioIIUpperBoundLP(t *testing.T) {
 // grows monotonically as sets are added back.
 func TestScenarioIILowerBounds(t *testing.T) {
 	s := scenario.NewScenarioII()
-	sets, err := indepset.Enumerate(s.Model, s.Links(), indepset.Options{})
+	sets, err := indepset.EnumerateContext(context.Background(), s.Model, s.Links(), indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math"
 
@@ -151,9 +152,11 @@ func Eq9UpperBound() (*Table, error) {
 // LowerBounds reproduces experiment E7 (Sec. 3.3): the Eq. 6 LP
 // restricted to growing prefixes of the maximal independent sets yields
 // monotone lower bounds reaching the optimum.
-func LowerBounds() (*Table, error) {
+func LowerBounds() (*Table, error) { return lowerBounds(context.Background()) }
+
+func lowerBounds(ctx context.Context) (*Table, error) {
 	s := scenario.NewScenarioII()
-	sets, err := indepset.Enumerate(s.Model, s.Links(), indepset.Options{})
+	sets, err := indepset.EnumerateContext(ctx, s.Model, s.Links(), indepset.Options{})
 	if err != nil {
 		return nil, err
 	}
@@ -163,7 +166,7 @@ func LowerBounds() (*Table, error) {
 		Header: []string{"sets used", "lower bound (Mbps)", "sets"},
 	}
 	for k := 1; k <= len(sets); k++ {
-		res, err := core.AvailableBandwidthWithSets(s.Model, nil, s.Path, sets[:k])
+		res, err := core.AvailableBandwidthWithSetsContext(ctx, s.Model, nil, s.Path, sets[:k])
 		if err != nil {
 			return nil, err
 		}

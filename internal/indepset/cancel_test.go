@@ -34,7 +34,7 @@ func meshFixture(t *testing.T) (conflict.Model, []topology.LinkID) {
 // checker polls change nothing but responsiveness.
 func TestContextRunByteIdentical(t *testing.T) {
 	m, links := meshFixture(t)
-	ref, err := Enumerate(m, links, Options{Workers: 1})
+	ref, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -63,7 +63,7 @@ func TestPreCanceledContextFailsFast(t *testing.T) {
 		if _, err := EnumerateContext(ctx, m, links, Options{Workers: workers}); !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%d workers: err = %v, want ErrCanceled", workers, err)
 		}
-		sets, truncated, err := EnumeratePartialContext(ctx, m, links, Options{Workers: workers})
+		sets, truncated, _, err := EnumeratePartialContext(ctx, m, links, Options{Workers: workers})
 		if !errors.Is(err, ErrCanceled) {
 			t.Fatalf("%d workers partial: err = %v, want ErrCanceled", workers, err)
 		}
@@ -98,7 +98,7 @@ func TestCanceledDistinctFromLimit(t *testing.T) {
 // silently partial family, never a foreign error.
 func TestConcurrentCancelAllOrNothing(t *testing.T) {
 	m, links := meshFixture(t)
-	ref, err := Enumerate(m, links, Options{Workers: 1})
+	ref, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -8,22 +8,24 @@
 // l cannot join it with every member keeping its rate: rate-maximality
 // involves only the members (universe-independent), and link-maximality
 // over the old links is untouched by growth — only the l-clause is new.
-// Part (b) runs first: a DFS over the l-containing slice of the lattice
-// with l pushed from the root, branching over the remaining links in
-// descending-conflict order so l's interference prunes subtrees at
-// their shallowest node (feasibility, the budget and maximality are all
-// branch-order independent; see the order helpers). Part (a) then needs
-// no model replay at all — a base set is displaced exactly when some
-// walked set equals it plus l, bytes for bytes (the strip rule proved
-// at stripSurvivors) — so survival is one couple-hash lookup per cached
-// set against the freshly walked family.
+// Part (b) runs first: the ordinary full walk over the grown universe
+// listed in walk order — l first, then the remaining links in
+// descending-conflict order — with l pushed at the root, so the walk
+// covers only the l-containing slice of the lattice and l's
+// interference prunes subtrees at their shallowest node (feasibility,
+// the budget and maximality are all branch-order independent; see the
+// order helpers). Part (a) then needs no model replay at all — a base
+// set is displaced exactly when some walked set equals it plus l,
+// bytes for bytes (the strip rule proved at stripSurvivors) — so
+// survival is one couple-hash lookup per cached set against the
+// freshly walked family.
 //
 // Exploration accounting carries over too: both walk families charge
 // their budget once per feasible leaf, and a leaf over U ∪ {l} either
 // contains l (charged by part (b)) or is a leaf over U (charged by the
 // base enumeration). Seeding the budget with the base count therefore
 // reproduces the full walk's ErrLimit verdict exactly; see
-// EnumeratePartialCounted for where the seed comes from.
+// EnumeratePartialContext for where the seed comes from.
 package indepset
 
 import (
@@ -33,7 +35,6 @@ import (
 	"sort"
 
 	"abw/internal/conflict"
-	"abw/internal/radio"
 	"abw/internal/topology"
 )
 
@@ -47,8 +48,9 @@ var ErrDeltaUnsupported = errors.New("indepset: delta enumeration unsupported fo
 // DeltaBase is a complete enumeration result to warm-start from: the
 // canonical (sorted, deduplicated) universe it was enumerated over, its
 // full maximal-set family in key order, and the exact exploration count
-// the walk charged (EnumeratePartialCounted). Truncated families must
-// never be used as bases — their set list and count are both partial.
+// the walk charged (EnumeratePartialContext's explored). Truncated
+// families must never be used as bases — their set list and count are
+// both partial.
 type DeltaBase struct {
 	Universe []topology.LinkID
 	Sets     []Set
@@ -56,12 +58,13 @@ type DeltaBase struct {
 }
 
 // EnumerateDelta returns the maximal-set family over base.Universe plus
-// one more link, byte-identical to Enumerate over the grown universe
-// under the same Options, along with the grown universe's exploration
-// count (a valid DeltaBase.Explored for chaining). The model must be
-// the one the base was enumerated under. Errors: ErrDeltaUnsupported
-// (caller should fall back to Enumerate), ErrLimit (the grown universe
-// would trip Options.Limit — a full walk would too), or ErrCanceled.
+// one more link, byte-identical to EnumerateContext over the grown
+// universe under the same Options, along with the grown universe's
+// exploration count (a valid DeltaBase.Explored for chaining). The model
+// must be the one the base was enumerated under. Errors:
+// ErrDeltaUnsupported (caller should fall back to EnumerateContext),
+// ErrLimit (the grown universe would trip Options.Limit — a full walk
+// would too), or ErrCanceled.
 func EnumerateDelta(ctx context.Context, m conflict.Model, base DeltaBase, link topology.LinkID, opts Options) ([]Set, int64, error) {
 	universe := dedupSorted(append(append([]topology.LinkID(nil), base.Universe...), link))
 	if len(universe) == len(base.Universe) {
@@ -90,45 +93,36 @@ func searchLinks(universe []topology.LinkID, l topology.LinkID) int {
 }
 
 func deltaPhysical(ctx context.Context, m *conflict.Physical, base DeltaBase, universe []topology.LinkID, lpos, limit int) ([]Set, int64, error) {
-	n := len(universe)
-	e := &physicalEnum{
-		m:        m,
-		ctx:      ctx,
-		universe: universe,
-		minRate:  make([]radio.Rate, n),
-		n:        n,
-		budget:   newSeededBudget(limit, base.Explored),
-	}
-	for i, l := range universe {
-		e.minRate[i] = m.MinPositiveRate(l)
-	}
+	l := universe[lpos]
 	//lint:ignore abw/floateq Rate 0 is the exact no-declared-rate sentinel, never a computed float
-	if e.minRate[lpos] == 0 {
+	if m.MinPositiveRate(l) == 0 {
 		// The new link can neither join an old set nor appear in a new
 		// one; the family and the exploration count are unchanged.
 		return append([]Set(nil), base.Sets...), base.Explored, nil
 	}
+	walk := physicalDeltaOrder(m, universe, lpos)
+	e := newPhysicalEnum(ctx, m, walk, newSeededBudget(limit, base.Explored))
 	w := newPhysicalWorker(e)
-	w.push(lpos)
-	err := w.recDelta(0, physicalDeltaOrder(m, universe, lpos))
+	w.push(0)
+	err := w.rec(1)
 	w.pop()
 	if err != nil {
 		return nil, 0, err
 	}
-	sortByKey(w.out)
-	return mergeByKey(stripSurvivors(base.Sets, w.out, universe[lpos]), w.out), e.budget.count(), nil
+	return mergeDelta(base.Sets, w.out, l), e.budget.count(), nil
 }
 
-// physicalDeltaOrder returns the branch order of the delta walk: every
-// position except lpos, strongest conflictors of the grown link first
-// (node sharers above all — they block it outright — then by mutual
-// interference power, ties by position). Branch order is free to
-// choose: feasibility is monotone and member-order-independent, so the
-// walk visits the same feasible subsets in any order, and the final
-// sort restores canonical emission. Fronting l's conflictors makes the
+// physicalDeltaOrder returns the grown universe in the delta walk's
+// order: the grown link universe[lpos] first, then every other link,
+// strongest conflictors of the grown link first (node sharers above
+// all — they block it outright — then by mutual interference power,
+// ties by position). Branch order is free to choose: feasibility is
+// monotone and member-order-independent, so the walk visits the same
+// feasible subsets in any order, and the final sort restores canonical
+// emission. Fronting l's conflictors makes the
 // subtrees that would die of l's interference die at the root instead
 // of one level above the leaves.
-func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos int) []int {
+func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos int) []topology.LinkID {
 	net := m.Network()
 	l := universe[lpos]
 	ll, lerr := net.Link(l)
@@ -156,7 +150,20 @@ func physicalDeltaOrder(m *conflict.Physical, universe []topology.LinkID, lpos i
 		}
 		return a < b
 	})
-	return order
+	walk := make([]topology.LinkID, 1, len(universe))
+	walk[0] = l
+	for _, p := range order {
+		walk = append(walk, universe[p])
+	}
+	return walk
+}
+
+// mergeDelta assembles the grown family from the base family and the
+// freshly walked sets that contain l: key-sort the walked sets, drop the
+// base sets they displace, and merge the two key-sorted lists.
+func mergeDelta(base, walked []Set, l topology.LinkID) []Set {
+	sortByKey(walked)
+	return mergeByKey(stripSurvivors(base, walked, l), walked)
 }
 
 // stripSurvivors returns the base sets that stay maximal once l joins
@@ -250,75 +257,10 @@ func strippedEqual(g, s []conflict.Couple, l topology.LinkID) bool {
 	return j == len(s)
 }
 
-// recDelta walks every subset containing the grown link, which the
-// caller has already pushed: it is the plain walk over the remaining
-// positions in the given branch order. Visiting each node through
-// visitDelta makes the grown link's interference prune natively — a
-// branch dies the moment any member is silenced, exactly the plain
-// walk's prune but conditioned on the grown link from the root — so
-// the walk touches only that link's slice of the lattice, with no
-// per-node join checks beyond what a fresh walk would pay.
-func (w *physicalWorker) recDelta(start int, order []int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	ok, err := w.visitDelta()
-	if !ok || err != nil {
-		return err
-	}
-	for oi := start; oi < len(order); oi++ {
-		w.push(order[oi])
-		err := w.recDelta(oi+1, order)
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// visitDelta is visit for the delta walk, where members sit in branch
-// order rather than ascending position: feasibility, budget and
-// maximality are member-order-independent (tracker sums and the
-// isMember table), only materialization must re-establish the
-// canonical ascending-position couple order, by insertion-sorting the
-// freshly appended couples (member counts are small; the sort is a
-// handful of swaps).
-func (w *physicalWorker) visitDelta() (ok bool, err error) {
-	e := w.e
-	for d, mi := range w.members {
-		r := w.tr.MaxRate(mi)
-		//lint:ignore abw/floateq Rate 0 is the exact silenced-link sentinel MaxRate returns, never a computed float
-		if r == 0 {
-			return false, nil
-		}
-		w.rateBuf[d] = r
-	}
-	if !e.budget.take() {
-		return false, ErrLimit
-	}
-	if physicalMaximal(w.tr, w.members, w.isMember, w.rateBuf, e.minRate, e.n) {
-		if cap(w.arena)-len(w.arena) < len(w.members) {
-			w.arena = make([]conflict.Couple, 0, 16*e.n)
-		}
-		base := len(w.arena)
-		for d, mi := range w.members {
-			w.arena = append(w.arena, conflict.Couple{Link: e.universe[mi], Rate: w.rateBuf[d]})
-			for k := len(w.arena) - 1; k > base && w.arena[k-1].Link > w.arena[k].Link; k-- {
-				w.arena[k-1], w.arena[k] = w.arena[k], w.arena[k-1]
-			}
-		}
-		couples := w.arena[base:len(w.arena):len(w.arena)]
-		w.out = append(w.out, Set{Couples: couples})
-	}
-	return true, nil
-}
-
 func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, base DeltaBase, universe []topology.LinkID, lpos, limit int) ([]Set, int64, error) {
-	n := len(universe)
 	rates, maxRates := positiveRates(m, universe)
 	if maxRates > 64 {
-		// The wide walk has no delta twin; fall back to a full walk.
+		// The wide walk has no delta path; fall back to a full walk.
 		return nil, 0, ErrDeltaUnsupported
 	}
 	if len(rates[lpos]) == 0 {
@@ -326,40 +268,34 @@ func deltaPairwise(ctx context.Context, m conflict.PairwiseModel, base DeltaBase
 		// set nor appear in a new one.
 		return append([]Set(nil), base.Sets...), base.Explored, nil
 	}
-	e := &pairwiseEnum{
-		ctx:      ctx,
-		universe: universe,
-		rates:    rates,
-		clear:    buildClearTable(m, universe, rates),
-		n:        n,
-		budget:   newSeededBudget(limit, base.Explored),
-	}
+	e := newPairwiseEnum(ctx, m, universe, rates, newSeededBudget(limit, base.Explored))
+	e.reorder(pairwiseDeltaOrder(e, lpos))
 	w := newPairwiseWorker(e)
 	defer w.release()
-	order := pairwiseDeltaOrder(e, lpos)
-	for ri := range e.rates[lpos] {
-		if !w.push(lpos, ri) {
+	for ri := range e.rates[0] {
+		if !w.push(0, ri) {
 			continue
 		}
-		err := w.recDelta(0, order)
+		err := w.rec(1)
 		w.pop()
 		if err != nil {
 			return nil, 0, err
 		}
 	}
-	sortByKey(w.out)
-	return mergeByKey(stripSurvivors(base.Sets, w.out, universe[lpos]), w.out), e.budget.count(), nil
+	return mergeDelta(base.Sets, w.out, universe[lpos]), e.budget.count(), nil
 }
 
-// pairwiseDeltaOrder returns the branch order of the pairwise delta
-// walk: every position except lpos, strongest conflictors of the grown
-// link first, measured from the clear table — the number of couple
-// rates the grown link cannot clear plus the number of its own rates
-// the position denies it — with ties by position. See
-// physicalDeltaOrder for why branch order is free to choose.
+// pairwiseDeltaOrder returns the walk order of the pairwise delta walk
+// over the canonical clear table's positions: lpos first, then every
+// other position, strongest conflictors of the grown link first,
+// measured from the clear table — the number of couple rates the grown
+// link cannot clear plus the number of its own rates the position
+// denies it — with ties by position. See physicalDeltaOrder for why
+// branch order is free to choose.
 func pairwiseDeltaOrder(e *pairwiseEnum, lpos int) []int {
 	threat := make([]int, e.n)
-	order := make([]int, 0, e.n-1)
+	order := make([]int, 1, e.n)
+	order[0] = lpos
 	for p := 0; p < e.n; p++ {
 		if p == lpos {
 			continue
@@ -376,8 +312,9 @@ func pairwiseDeltaOrder(e *pairwiseEnum, lpos int) []int {
 		}
 		order = append(order, p)
 	}
-	sort.SliceStable(order, func(i, j int) bool {
-		a, b := order[i], order[j]
+	rest := order[1:]
+	sort.SliceStable(rest, func(i, j int) bool {
+		a, b := rest[i], rest[j]
 		if threat[a] != threat[b] {
 			return threat[a] > threat[b]
 		}
@@ -412,61 +349,4 @@ func mergeByKey(survivors, grown []Set) []Set {
 	}
 	out = append(out, survivors[i:]...)
 	return append(out, grown[j:]...)
-}
-
-// recDelta walks every complete assignment that includes the grown
-// link, which the caller has already pushed at one of its rates: it is
-// the plain walk over the remaining positions in the given branch
-// order. With the grown link a member from the root, every push
-// already validates against it — a branch under which no rate of the
-// grown link survives is never entered — so the per-node prune of a
-// staged walk comes for free.
-func (w *pairwiseWorker) recDelta(oi int, order []int) error {
-	if err := w.chk.Check(); err != nil {
-		return err
-	}
-	if oi == len(order) {
-		return w.visitLeafDelta()
-	}
-	idx := order[oi]
-	// Exclude universe[idx].
-	if err := w.recDelta(oi+1, order); err != nil {
-		return err
-	}
-	// Include at each rate that keeps the partial set feasible.
-	for ri := range w.e.rates[idx] {
-		if !w.push(idx, ri) {
-			continue
-		}
-		err := w.recDelta(oi+1, order)
-		w.pop()
-		if err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// visitLeafDelta is visitLeaf for the delta walk, where members sit in
-// branch order rather than ascending position: the budget charge and
-// the maximality check are member-order-independent (mask
-// intersections and the isMember table), only materialization must
-// re-establish the canonical ascending-position couple order, by
-// insertion-sorting the freshly built couples.
-func (w *pairwiseWorker) visitLeafDelta() error {
-	if !w.e.budget.take() {
-		return ErrLimit
-	}
-	if w.maximal() {
-		couples := make([]conflict.Couple, 0, len(w.members))
-		for d := range w.members {
-			a := &w.members[d]
-			couples = append(couples, conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]})
-			for k := len(couples) - 1; k > 0 && couples[k-1].Link > couples[k].Link; k-- {
-				couples[k-1], couples[k] = couples[k], couples[k-1]
-			}
-		}
-		w.out = append(w.out, Set{Couples: couples})
-	}
-	return nil
 }

@@ -26,7 +26,7 @@ func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, 
 	}
 	universe := dedupSorted(links)
 	base := DeltaBase{Universe: universe[:1:1]}
-	sets, truncated, explored, err := EnumeratePartialCounted(m, base.Universe, Options{})
+	sets, truncated, explored, err := EnumeratePartialContext(context.Background(), m, base.Universe, Options{})
 	if err != nil || truncated {
 		t.Fatalf("%s: seed enumeration: truncated=%v err=%v", label, truncated, err)
 	}
@@ -39,7 +39,7 @@ func assertDeltaGrowth(t *testing.T, m conflict.Model, links []topology.LinkID, 
 			t.Fatalf("%s: step %d: EnumerateDelta(+%d): %v", label, step, link, err)
 		}
 		for _, workers := range []int{1, 2, 4, 8} {
-			want, truncated, wantExplored, err := EnumeratePartialCounted(m, grown, Options{Workers: workers})
+			want, truncated, wantExplored, err := EnumeratePartialContext(context.Background(), m, grown, Options{Workers: workers})
 			if err != nil || truncated {
 				t.Fatalf("%s: step %d workers %d: fresh walk: truncated=%v err=%v", label, step, workers, truncated, err)
 			}
@@ -135,11 +135,11 @@ func TestDeltaLimitVerdict(t *testing.T) {
 	baseU := universe[:len(universe)-1]
 	link := universe[len(universe)-1]
 
-	_, _, baseExplored, err := EnumeratePartialCounted(m, baseU, Options{})
+	_, _, baseExplored, err := EnumeratePartialContext(context.Background(), m, baseU, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, _, grownExplored, err := EnumeratePartialCounted(m, universe, Options{})
+	_, _, grownExplored, err := EnumeratePartialContext(context.Background(), m, universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -149,7 +149,7 @@ func TestDeltaLimitVerdict(t *testing.T) {
 
 	for limit := baseExplored; limit < grownExplored; limit += (grownExplored - baseExplored + 3) / 4 {
 		opts := Options{Limit: int(limit)}
-		baseSets, truncated, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
+		baseSets, truncated, baseCount, err := EnumeratePartialContext(context.Background(), m, baseU, opts)
 		if err != nil || truncated {
 			t.Fatalf("limit %d: base walk truncated=%v err=%v", limit, truncated, err)
 		}
@@ -161,7 +161,7 @@ func TestDeltaLimitVerdict(t *testing.T) {
 	}
 
 	opts := Options{Limit: int(grownExplored)}
-	baseSets, _, baseCount, err := EnumeratePartialCounted(m, baseU, opts)
+	baseSets, _, baseCount, err := EnumeratePartialContext(context.Background(), m, baseU, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -170,7 +170,7 @@ func TestDeltaLimitVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatalf("limit == grown count %d: delta err = %v", grownExplored, err)
 	}
-	want, err := Enumerate(m, universe, opts)
+	want, err := EnumerateContext(context.Background(), m, universe, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -188,7 +188,7 @@ func TestDeltaUnsupportedModel(t *testing.T) {
 	links := []topology.LinkID(path)
 	m := opaque{m: conflict.NewPhysical(net)}
 	base := DeltaBase{Universe: links[:len(links)-1]}
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
+	base.Sets, _, base.Explored, err = EnumeratePartialContext(context.Background(), m, base.Universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -207,7 +207,7 @@ func TestDeltaUnsupportedWideRates(t *testing.T) {
 	tb.SetRates(1, 54, 36)
 	base := DeltaBase{Universe: []topology.LinkID{0}}
 	var err error
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(tb, base.Universe, Options{})
+	base.Sets, _, base.Explored, err = EnumeratePartialContext(context.Background(), tb, base.Universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -225,7 +225,7 @@ func TestDeltaLinkAlreadyPresent(t *testing.T) {
 	links := []topology.LinkID(path)
 	m := conflict.NewPhysical(net)
 	base := DeltaBase{Universe: dedupSorted(links)}
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
+	base.Sets, _, base.Explored, err = EnumeratePartialContext(context.Background(), m, base.Universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -250,7 +250,7 @@ func TestDeltaCancellation(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	universe := dedupSorted(links)
 	base := DeltaBase{Universe: universe[:len(universe)-1]}
-	base.Sets, _, base.Explored, err = EnumeratePartialCounted(m, base.Universe, Options{})
+	base.Sets, _, base.Explored, err = EnumeratePartialContext(context.Background(), m, base.Universe, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -38,7 +38,7 @@ func enumerateFallback(ctx context.Context, m conflict.Model, universe []topolog
 // brute-force enumeration.
 type fallbackEnum struct {
 	m conflict.Model
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
+	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the enumeration call that received ctx
 	ctx      context.Context
 	universe []topology.LinkID
 	budget   *budget

@@ -30,6 +30,13 @@
 // family is byte-identical to the sequential walk's. See parallel.go
 // for the partitioning, budget-accounting and merge-determinism
 // invariants (DESIGN.md Sec. 8 pins them).
+//
+// There is one ctx-first entry point per operation: EnumerateContext
+// (the complete family), EnumeratePartialContext (the family so far,
+// whether the limit truncated it, and the exploration count) and
+// EnumerateDelta (the family of a universe grown by one link, from the
+// base universe's family; delta.go). Each model has one DFS: the delta
+// walk is the full walk over a reordered universe.
 package indepset
 
 import (
@@ -132,21 +139,10 @@ func (s Set) String() string {
 	return "{" + strings.Join(parts, ", ") + "}"
 }
 
-// RateVector returns the set's throughput-rate vector aligned with the
-// given link universe (the R*_i of paper Eq. 4): entry j is the rate of
-// universe[j] in the set, or 0.
-func (s Set) RateVector(universe []topology.LinkID) []radio.Rate {
-	out := make([]radio.Rate, len(universe))
-	for j, l := range universe {
-		out[j] = s.Rate(l)
-	}
-	return out
-}
-
 // ErrLimit is returned when enumeration exceeds the configured set
 // limit; callers may treat partial enumerations as lower bounds
-// (paper Sec. 3.3) but Enumerate refuses to return silently truncated
-// results.
+// (paper Sec. 3.3) but EnumerateContext refuses to return silently
+// truncated results.
 var ErrLimit = fmt.Errorf("indepset: enumeration limit exceeded")
 
 // ErrCanceled reports that an enumeration was abandoned because its
@@ -161,7 +157,8 @@ type Options struct {
 	// default of 1<<20. The bound is exact, also under parallelism
 	// (workers charge one shared budget): at most Limit sets are
 	// explored in total, the walk stops before exploring set Limit+1,
-	// and a truncated EnumeratePartial hands back at most Limit sets.
+	// and a truncated EnumeratePartialContext hands back at most Limit
+	// sets.
 	Limit int
 
 	// Workers sets the number of concurrent enumeration workers:
@@ -176,9 +173,9 @@ type Options struct {
 	// the sequential walk (same Set.Key order). The conflict model must
 	// be safe for concurrent read-only use when Workers != 1; every
 	// model in internal/conflict is immutable after construction and
-	// qualifies. A truncated parallel EnumeratePartial explores exactly
-	// Limit sets like the sequential walk, but scheduling decides which
-	// subtrees those came from, so the (still sound and maximal)
+	// qualifies. A truncated parallel EnumeratePartialContext explores
+	// exactly Limit sets like the sequential walk, but scheduling decides
+	// which subtrees those came from, so the (still sound and maximal)
 	// partial family may differ run to run.
 	Workers int
 }
@@ -196,22 +193,19 @@ func (o Options) limit() int {
 // bounds never share an entry.
 func (o Options) EffectiveLimit() int { return o.limit() }
 
-// Enumerate returns every maximal independent set (with maximum
+// EnumerateContext returns every maximal independent set (with maximum
 // supported rate vectors) over the given links, in deterministic order.
 // The empty set is never returned; if no link can transmit at all the
-// result is empty.
-func Enumerate(m conflict.Model, links []topology.LinkID, opts Options) ([]Set, error) {
-	return EnumerateContext(context.Background(), m, links, opts)
-}
-
-// EnumerateContext is Enumerate under a context: the walk polls
-// ctx.Done() periodically (a countdown check in the DFS hot loops, so
-// uncancellable contexts cost nothing) and returns an error satisfying
-// errors.Is(err, ErrCanceled) promptly once ctx is cancelled. A run
-// whose context is never cancelled returns the byte-identical family
-// of a context-free run at every worker count.
+// result is empty. A walk that would explore more than Options.Limit
+// sets fails with ErrLimit rather than return a truncated family.
+//
+// The walk polls ctx.Done() periodically (a countdown check in the DFS
+// hot loops, so uncancellable contexts cost nothing) and returns an
+// error satisfying errors.Is(err, ErrCanceled) promptly once ctx is
+// cancelled. A run whose context is never cancelled returns the
+// byte-identical family at every worker count.
 func EnumerateContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, error) {
-	sets, truncated, _, err := enumerate(ctx, m, links, opts)
+	sets, truncated, _, err := EnumeratePartialContext(ctx, m, links, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -221,43 +215,23 @@ func EnumerateContext(ctx context.Context, m conflict.Model, links []topology.Li
 	return sets, nil
 }
 
-// EnumeratePartial is Enumerate with graceful degradation: when the
-// exploration limit trips, it returns the maximal sets found so far and
-// truncated = true instead of failing. A truncated result is still a
-// sound basis for the paper's Sec. 3.3 LOWER bounds (every returned set
-// is genuinely feasible and maximal); it must not be used where
-// completeness matters (exact Eq. 6 optima, upper bounds).
-func EnumeratePartial(m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, error) {
-	return EnumeratePartialContext(context.Background(), m, links, opts)
-}
-
-// EnumeratePartialContext is EnumeratePartial under a context; see
-// EnumerateContext. Cancellation wins over truncation: a cancelled walk
+// EnumeratePartialContext is EnumerateContext with graceful
+// degradation: when the exploration limit trips, it returns the maximal
+// sets found so far and truncated = true instead of failing. A
+// truncated result is still a sound basis for the paper's Sec. 3.3
+// LOWER bounds (every returned set is genuinely feasible and maximal);
+// it must not be used where completeness matters (exact Eq. 6 optima,
+// upper bounds). Cancellation wins over truncation: a cancelled walk
 // returns ErrCanceled and no family, never a truncated partial one.
-func EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, error) {
-	sets, truncated, _, err := enumerate(ctx, m, links, opts)
-	return sets, truncated, err
-}
-
-// EnumeratePartialCounted is EnumeratePartial reporting, alongside the
-// family, how many feasible sets (physical walk) or feasible complete
-// couple assignments (pairwise/fallback walks) the enumeration charged
-// against Options.Limit. For a complete (untruncated) family the count
-// is exact and deterministic — byte-identical runs charge identically —
-// and it is the accounting seed the delta path (EnumerateDelta) needs
-// to reproduce ErrLimit verdicts without re-walking the base universe.
-// The count of a truncated run is unspecified.
-func EnumeratePartialCounted(m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, int64, error) {
-	return enumerate(context.Background(), m, links, opts)
-}
-
-// EnumeratePartialCountedContext is EnumeratePartialCounted under a
-// context; see EnumerateContext for the cancellation contract.
-func EnumeratePartialCountedContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, int64, error) {
-	return enumerate(ctx, m, links, opts)
-}
-
-func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) ([]Set, bool, int64, error) {
+//
+// explored is how many feasible sets (physical walk) or feasible
+// complete couple assignments (pairwise/fallback walks) the walk charged
+// against Options.Limit. For a complete family it is exact and
+// deterministic, and it is the accounting seed EnumerateDelta needs
+// (DeltaBase.Explored) to reproduce ErrLimit verdicts without
+// re-walking the base universe. The count of a truncated run is
+// unspecified.
+func EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts Options) (sets []Set, truncated bool, explored int64, err error) {
 	universe := dedupSorted(links)
 	limit := opts.limit()
 	workers := opts.workerCount(len(universe))
@@ -265,23 +239,21 @@ func enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, o
 	tm.SetWorkers(workers)
 	defer tm.End()
 	b := newBudget(limit, workers)
-	var out []Set
-	var err error
 	switch mm := m.(type) {
 	case *conflict.Physical:
-		out, err = enumeratePhysical(ctx, mm, universe, b, workers)
+		sets, err = enumeratePhysical(ctx, mm, universe, b, workers)
 	case conflict.PairwiseModel:
-		out, err = enumeratePairwise(ctx, mm, universe, b, workers)
+		sets, err = enumeratePairwise(ctx, mm, universe, b, workers)
 	default:
-		out, err = enumerateFallback(ctx, m, universe, b, workers)
+		sets, err = enumerateFallback(ctx, m, universe, b, workers)
 	}
-	truncated := errors.Is(err, ErrLimit)
+	truncated = errors.Is(err, ErrLimit)
 	if err != nil && !truncated {
 		return nil, false, 0, err
 	}
-	sortByKey(out)
-	tm.AddSets(int64(len(out)))
-	return out, truncated, b.count(), nil
+	sortByKey(sets)
+	tm.AddSets(int64(len(sets)))
+	return sets, truncated, b.count(), nil
 }
 
 // CacheKeys fills each set's cached canonical key in place — the same

@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"testing"
@@ -13,7 +14,7 @@ import (
 
 func TestScenarioIIMaximalSets(t *testing.T) {
 	s := scenario.NewScenarioII()
-	sets, err := Enumerate(s.Model, s.Links(), Options{})
+	sets, err := EnumerateContext(context.Background(), s.Model, s.Links(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -51,7 +52,7 @@ func TestScenarioIIMaximalSets(t *testing.T) {
 func TestScenarioIMaximalSets(t *testing.T) {
 	s := scenario.NewScenarioI(54)
 	links := []topology.LinkID{s.L1, s.L2, s.L3}
-	sets, err := Enumerate(s.Model, links, Options{})
+	sets, err := EnumerateContext(context.Background(), s.Model, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -74,7 +75,7 @@ func TestEnumeratePhysicalChain(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := conflict.NewPhysical(net)
-	sets, err := Enumerate(m, path, Options{})
+	sets, err := EnumerateContext(context.Background(), m, path, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -107,7 +108,7 @@ func TestEnumeratePhysicalChain(t *testing.T) {
 
 func TestEnumerateNoDuplicates(t *testing.T) {
 	s := scenario.NewScenarioII()
-	sets, err := Enumerate(s.Model, s.Links(), Options{})
+	sets, err := EnumerateContext(context.Background(), s.Model, s.Links(), Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -129,12 +130,12 @@ func TestEnumerateLimit(t *testing.T) {
 		tb.SetRates(i, 54)
 		links = append(links, i)
 	}
-	if _, err := Enumerate(tb, links, Options{Limit: 100}); !errors.Is(err, ErrLimit) {
+	if _, err := EnumerateContext(context.Background(), tb, links, Options{Limit: 100}); !errors.Is(err, ErrLimit) {
 		t.Errorf("err = %v, want ErrLimit", err)
 	}
 	// With a generous limit it succeeds and returns the single maximal
 	// set of all 16 links.
-	sets, err := Enumerate(tb, links, Options{})
+	sets, err := EnumerateContext(context.Background(), tb, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +146,7 @@ func TestEnumerateLimit(t *testing.T) {
 
 func TestEnumerateEmptyAndSilentLinks(t *testing.T) {
 	tb := conflict.NewTable()
-	sets, err := Enumerate(tb, nil, Options{})
+	sets, err := EnumerateContext(context.Background(), tb, nil, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +155,7 @@ func TestEnumerateEmptyAndSilentLinks(t *testing.T) {
 	}
 	// A link with no rates can never appear.
 	tb.SetRates(0, 54)
-	sets, err = Enumerate(tb, []topology.LinkID{0, 1}, Options{})
+	sets, err = EnumerateContext(context.Background(), tb, []topology.LinkID{0, 1}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -174,11 +175,6 @@ func TestSetAccessors(t *testing.T) {
 	}
 	if got := s.Links(); len(got) != 2 || got[0] != 2 || got[1] != 5 {
 		t.Errorf("Links = %v, want [2 5] (sorted)", got)
-	}
-	rv := s.RateVector([]topology.LinkID{2, 3, 5})
-	//lint:ignore abw/floateq RateVector copies stored couples; bit-exact by construction
-	if rv[0] != 54 || rv[1] != 0 || rv[2] != 36 {
-		t.Errorf("RateVector = %v", rv)
 	}
 	if s.Key() != "2@54|5@36" {
 		t.Errorf("Key = %q", s.Key())
@@ -217,7 +213,7 @@ func TestEnumerateRandomTableProperty(t *testing.T) {
 				}
 			}
 		}
-		sets, err := Enumerate(tb, links, Options{})
+		sets, err := EnumerateContext(context.Background(), tb, links, Options{})
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -262,7 +258,7 @@ func TestEnumeratePartialTruncates(t *testing.T) {
 		tb.SetRates(i, 54)
 		links = append(links, i)
 	}
-	sets, truncated, err := EnumeratePartial(tb, links, Options{Limit: 1000})
+	sets, truncated, _, err := EnumeratePartialContext(context.Background(), tb, links, Options{Limit: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,11 +275,11 @@ func TestEnumeratePartialTruncates(t *testing.T) {
 		}
 	}
 	// The complete run is not truncated and agrees with Enumerate.
-	full, truncated, err := EnumeratePartial(tb, links, Options{})
+	full, truncated, _, err := EnumeratePartialContext(context.Background(), tb, links, Options{})
 	if err != nil || truncated {
 		t.Fatalf("full run: truncated=%v err=%v", truncated, err)
 	}
-	direct, err := Enumerate(tb, links, Options{})
+	direct, err := EnumerateContext(context.Background(), tb, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +321,7 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	tb, links := allConflictTable(t, n)
 
 	// Limit below the family size: truncated, and at most Limit sets.
-	sets, truncated, err := EnumeratePartial(tb, links, Options{Limit: n - 1})
+	sets, truncated, _, err := EnumeratePartialContext(context.Background(), tb, links, Options{Limit: n - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -335,12 +331,12 @@ func TestEnumerateLimitBoundary(t *testing.T) {
 	if len(sets) > n-1 {
 		t.Fatalf("truncated run returned %d sets, limit was %d: %v", len(sets), n-1, keys(sets))
 	}
-	if _, err := Enumerate(tb, links, Options{Limit: n - 1}); !errors.Is(err, ErrLimit) {
+	if _, err := EnumerateContext(context.Background(), tb, links, Options{Limit: n - 1}); !errors.Is(err, ErrLimit) {
 		t.Fatalf("Enumerate with tripped limit: got err %v, want ErrLimit", err)
 	}
 
 	// Limit exactly the family size: complete and untruncated.
-	sets, truncated, err = EnumeratePartial(tb, links, Options{Limit: n})
+	sets, truncated, _, err = EnumeratePartialContext(context.Background(), tb, links, Options{Limit: n})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -359,7 +355,7 @@ func TestEnumerateLimitBoundaryFallback(t *testing.T) {
 	tb, links := allConflictTable(t, n)
 	m := opaque{m: tb}
 
-	sets, truncated, err := EnumeratePartial(m, links, Options{Limit: n - 1})
+	sets, truncated, _, err := EnumeratePartialContext(context.Background(), m, links, Options{Limit: n - 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,7 +366,7 @@ func TestEnumerateLimitBoundaryFallback(t *testing.T) {
 		t.Fatalf("truncated run returned %d sets, limit was %d: %v", len(sets), n-1, keys(sets))
 	}
 
-	sets, truncated, err = EnumeratePartial(m, links, Options{Limit: n})
+	sets, truncated, _, err = EnumeratePartialContext(context.Background(), m, links, Options{Limit: n})
 	if err != nil {
 		t.Fatal(err)
 	}

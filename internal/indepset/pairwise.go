@@ -33,14 +33,7 @@ func enumeratePairwise(ctx context.Context, m conflict.PairwiseModel, universe [
 		// (pairwise_wide.go) — same DFS order, same family.
 		return enumerateWide(ctx, m, universe, rates, budget, workers)
 	}
-	e := &pairwiseEnum{
-		ctx:      ctx,
-		universe: universe,
-		rates:    rates,
-		clear:    buildClearTable(m, universe, rates),
-		n:        n,
-		budget:   budget,
-	}
+	e := newPairwiseEnum(ctx, m, universe, rates, budget)
 	if workers <= 1 {
 		w := newPairwiseWorker(e)
 		err := w.rec(0)
@@ -131,13 +124,49 @@ func buildClearTable(m conflict.PairwiseModel, universe []topology.LinkID, rates
 // pairwise enumeration: the universe, its declared positive rates, and
 // the precomputed clear-mask table.
 type pairwiseEnum struct {
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
+	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the enumeration call that received ctx
 	ctx      context.Context
 	universe []topology.LinkID
 	rates    [][]radio.Rate
 	clear    [][][]uint64
 	n        int
 	budget   *budget
+}
+
+// newPairwiseEnum builds the shared walk state over the canonical
+// universe and its positive rates (positiveRates, at most 64 per link).
+// The delta walk (delta.go) then lists it in walk order with reorder.
+func newPairwiseEnum(ctx context.Context, m conflict.PairwiseModel, universe []topology.LinkID, rates [][]radio.Rate, budget *budget) *pairwiseEnum {
+	return &pairwiseEnum{
+		ctx:      ctx,
+		universe: universe,
+		rates:    rates,
+		clear:    buildClearTable(m, universe, rates),
+		n:        len(universe),
+		budget:   budget,
+	}
+}
+
+// reorder lists the walk state in the given position order: walk
+// position k becomes old position order[k]. Only the universe, the rate
+// lists and the clear table's two outer levels move; every mask row
+// stays as built, since its bits index the rates of the link it belongs
+// to and its entries the rates of the other link, both of which travel
+// with their link.
+func (e *pairwiseEnum) reorder(order []int) {
+	universe := make([]topology.LinkID, e.n)
+	rates := make([][]radio.Rate, e.n)
+	mid := make([][]uint64, e.n*e.n)
+	clear := make([][][]uint64, e.n)
+	for k, p := range order {
+		universe[k] = e.universe[p]
+		rates[k] = e.rates[p]
+		clear[k] = mid[k*e.n : (k+1)*e.n]
+		for j, q := range order {
+			clear[k][j] = e.clear[p][q]
+		}
+	}
+	e.universe, e.rates, e.clear = universe, rates, clear
 }
 
 type pairMember struct {
@@ -332,7 +361,10 @@ func (w *pairwiseWorker) maximal() bool {
 }
 
 // visitLeaf charges the budget for the current full assignment and
-// records it when maximal.
+// records it when maximal. The budget charge and the maximality check
+// do not depend on member order; only the recorded couples must be in
+// link order, so each one is insertion-sorted into place (one compare
+// per couple on the full walk, whose members already ascend).
 func (w *pairwiseWorker) visitLeaf() error {
 	if len(w.members) == 0 {
 		return nil
@@ -341,12 +373,15 @@ func (w *pairwiseWorker) visitLeaf() error {
 		return ErrLimit
 	}
 	if w.maximal() {
-		couples := make([]conflict.Couple, len(w.members))
+		couples := make([]conflict.Couple, 0, len(w.members))
 		for d := range w.members {
 			a := &w.members[d]
-			couples[d] = conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]}
+			couples = append(couples, conflict.Couple{Link: w.e.universe[a.pos], Rate: w.e.rates[a.pos][a.ri]})
+			for k := len(couples) - 1; k > 0 && couples[k-1].Link > couples[k].Link; k-- {
+				couples[k-1], couples[k] = couples[k], couples[k-1]
+			}
 		}
-		w.out = append(w.out, Set{Couples: couples}) // idx order = link order
+		w.out = append(w.out, Set{Couples: couples})
 	}
 	return nil
 }

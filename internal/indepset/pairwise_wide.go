@@ -86,7 +86,7 @@ func enumerateWide(ctx context.Context, m conflict.PairwiseModel, universe []top
 // wideEnum is the read-only state shared by every worker of one
 // multi-word pairwise enumeration.
 type wideEnum struct {
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
+	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the enumeration call that received ctx
 	ctx      context.Context
 	universe []topology.LinkID
 	rates    [][]radio.Rate

@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"errors"
 	"math/rand"
 	"reflect"
@@ -20,12 +21,12 @@ import (
 // >= 4 workers across every model kind.
 func assertParallelMatchesSequential(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
-	seq, err := Enumerate(m, links, Options{Workers: 1})
+	seq, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatalf("%s: sequential: %v", label, err)
 	}
 	for _, workers := range []int{2, 4, 8} {
-		par, err := Enumerate(m, links, Options{Workers: workers})
+		par, err := EnumerateContext(context.Background(), m, links, Options{Workers: workers})
 		if err != nil {
 			t.Fatalf("%s: %d workers: %v", label, workers, err)
 		}
@@ -75,11 +76,11 @@ func TestParallelMatchesSequentialPhysical(t *testing.T) {
 	}
 	m := conflict.NewPhysical(net)
 	assertParallelMatchesSequential(t, m, links, "physical mesh")
-	auto, err := Enumerate(m, links, Options{})
+	auto, err := EnumerateContext(context.Background(), m, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	seq, err := Enumerate(m, links, Options{Workers: 1})
+	seq, err := EnumerateContext(context.Background(), m, links, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestParallelLimitExact(t *testing.T) {
 	}
 	for _, mm := range models {
 		for limit := 1; limit <= n+1; limit++ {
-			seq, seqTrunc, err := EnumeratePartial(mm.m, links, Options{Limit: limit, Workers: 1})
+			seq, seqTrunc, _, err := EnumeratePartialContext(context.Background(), mm.m, links, Options{Limit: limit, Workers: 1})
 			if err != nil {
 				t.Fatalf("%s limit %d: sequential: %v", mm.name, limit, err)
 			}
@@ -177,7 +178,7 @@ func TestParallelLimitExact(t *testing.T) {
 				t.Fatalf("%s limit %d: sequential family %d, want %d", mm.name, limit, len(seq), want)
 			}
 			for _, workers := range []int{2, 4, 8} {
-				par, parTrunc, err := EnumeratePartial(mm.m, links, Options{Limit: limit, Workers: workers})
+				par, parTrunc, _, err := EnumeratePartialContext(context.Background(), mm.m, links, Options{Limit: limit, Workers: workers})
 				if err != nil {
 					t.Fatalf("%s limit %d workers %d: %v", mm.name, limit, workers, err)
 				}
@@ -194,7 +195,7 @@ func TestParallelLimitExact(t *testing.T) {
 						mm.name, limit, workers, parTrunc, seqTrunc)
 				}
 				// Enumerate must agree with the truncation flag.
-				if _, err := Enumerate(mm.m, links, Options{Limit: limit, Workers: workers}); (err != nil) != parTrunc || (parTrunc && !errors.Is(err, ErrLimit)) {
+				if _, err := EnumerateContext(context.Background(), mm.m, links, Options{Limit: limit, Workers: workers}); (err != nil) != parTrunc || (parTrunc && !errors.Is(err, ErrLimit)) {
 					t.Errorf("%s limit %d workers %d: Enumerate err %v, truncated %v",
 						mm.name, limit, workers, err, parTrunc)
 				}
@@ -213,7 +214,7 @@ func TestParallelTruncationSound(t *testing.T) {
 		t.Fatal(err)
 	}
 	m := conflict.NewPhysical(net)
-	full, err := Enumerate(m, path, Options{Workers: 1})
+	full, err := EnumerateContext(context.Background(), m, path, Options{Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -223,7 +224,7 @@ func TestParallelTruncationSound(t *testing.T) {
 	}
 	for _, limit := range []int{3, 7, 19} {
 		for _, workers := range []int{2, 4, 8} {
-			sets, truncated, err := EnumeratePartial(m, path, Options{Limit: limit, Workers: workers})
+			sets, truncated, _, err := EnumeratePartialContext(context.Background(), m, path, Options{Limit: limit, Workers: workers})
 			if err != nil {
 				t.Fatalf("limit %d workers %d: %v", limit, workers, err)
 			}

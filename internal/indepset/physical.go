@@ -27,20 +27,7 @@ func enumeratePhysical(ctx context.Context, m *conflict.Physical, universe []top
 	if n == 0 {
 		return nil, nil
 	}
-	e := &physicalEnum{
-		m:        m,
-		ctx:      ctx,
-		universe: universe,
-		minRate:  make([]radio.Rate, n),
-		n:        n,
-		budget:   budget,
-	}
-	// minRate[i] is the lowest positive declared rate of universe[i]: the
-	// weakest couple it could join a set with. Links with no positive
-	// declared rate can never join (nor appear).
-	for i, l := range universe {
-		e.minRate[i] = m.MinPositiveRate(l)
-	}
+	e := newPhysicalEnum(ctx, m, universe, budget)
 	if workers <= 1 {
 		w := newPhysicalWorker(e)
 		err := w.rec(0)
@@ -61,12 +48,34 @@ func enumeratePhysical(ctx context.Context, m *conflict.Physical, universe []top
 // physical enumeration.
 type physicalEnum struct {
 	m *conflict.Physical
-	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the Enumerate call that received ctx
+	//lint:ignore abw/ctxflow read-only per-enumeration worker state; lives strictly inside the enumeration call that received ctx
 	ctx      context.Context
 	universe []topology.LinkID
 	minRate  []radio.Rate
 	n        int
 	budget   *budget
+}
+
+// newPhysicalEnum builds the shared walk state over universe, listed in
+// walk order: the full walk passes the canonical ascending universe, the
+// delta walk (delta.go) the grown link first and the rest in its branch
+// order.
+func newPhysicalEnum(ctx context.Context, m *conflict.Physical, universe []topology.LinkID, budget *budget) *physicalEnum {
+	e := &physicalEnum{
+		m:        m,
+		ctx:      ctx,
+		universe: universe,
+		minRate:  make([]radio.Rate, len(universe)),
+		n:        len(universe),
+		budget:   budget,
+	}
+	// minRate[i] is the lowest positive declared rate of universe[i]: the
+	// weakest couple it could join a set with. Links with no positive
+	// declared rate can never join (nor appear).
+	for i, l := range universe {
+		e.minRate[i] = m.MinPositiveRate(l)
+	}
+	return e
 }
 
 // physicalWorker owns the mutable DFS state of one worker: an
@@ -108,7 +117,11 @@ func (w *physicalWorker) pop() {
 
 // visit charges the budget for the current member set and records it
 // when maximal. ok=false prunes the subtree: some member is silenced,
-// and interference only grows with further members.
+// and interference only grows with further members. Feasibility, the
+// budget charge and maximality do not depend on member order; only the
+// recorded couples must be in link order, so each one is insertion-
+// sorted into place. On the full walk members already ascend and that
+// costs one compare per couple.
 func (w *physicalWorker) visit() (ok bool, err error) {
 	e := w.e
 	// Feasibility: every member must keep a positive max rate.
@@ -130,9 +143,12 @@ func (w *physicalWorker) visit() (ok bool, err error) {
 		base := len(w.arena)
 		for d, mi := range w.members {
 			w.arena = append(w.arena, conflict.Couple{Link: e.universe[mi], Rate: w.rateBuf[d]})
+			for k := len(w.arena) - 1; k > base && w.arena[k-1].Link > w.arena[k].Link; k-- {
+				w.arena[k-1], w.arena[k] = w.arena[k], w.arena[k-1]
+			}
 		}
 		couples := w.arena[base:len(w.arena):len(w.arena)]
-		w.out = append(w.out, Set{Couples: couples}) // members ascend, so couples are sorted
+		w.out = append(w.out, Set{Couples: couples})
 	}
 	return true, nil
 }

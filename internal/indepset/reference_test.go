@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -54,7 +55,7 @@ func referenceEnumerate(t *testing.T, m conflict.Model, links []topology.LinkID)
 // set family (same Key multiset, same order).
 func assertSameFamily(t *testing.T, m conflict.Model, links []topology.LinkID, label string) {
 	t.Helper()
-	got, err := Enumerate(m, links, Options{})
+	got, err := EnumerateContext(context.Background(), m, links, Options{})
 	if err != nil {
 		t.Fatalf("%s: Enumerate: %v", label, err)
 	}
@@ -185,11 +186,11 @@ func TestEquivalenceFallbackPath(t *testing.T) {
 	assertSameFamily(t, opaque{m: phys}, links, "opaque physical")
 
 	// The fallback and incremental paths must also agree with each other.
-	direct, err := Enumerate(phys, links, Options{})
+	direct, err := EnumerateContext(context.Background(), phys, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	viaFallback, err := Enumerate(opaque{m: phys}, links, Options{})
+	viaFallback, err := EnumerateContext(context.Background(), opaque{m: phys}, links, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

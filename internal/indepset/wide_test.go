@@ -1,6 +1,7 @@
 package indepset
 
 import (
+	"context"
 	"math/rand"
 	"reflect"
 	"testing"
@@ -66,11 +67,11 @@ func TestWideMatchesFallback(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	for trial := 0; trial < 4; trial++ {
 		tb, links := wideTable(t, rng, 66, 2)
-		direct, err := Enumerate(tb, links, Options{})
+		direct, err := EnumerateContext(context.Background(), tb, links, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
-		viaFallback, err := Enumerate(opaque{m: tb}, links, Options{})
+		viaFallback, err := EnumerateContext(context.Background(), opaque{m: tb}, links, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -87,12 +88,12 @@ func TestWideParallelDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for trial := 0; trial < 3; trial++ {
 		tb, links := wideTable(t, rng, 68, 3)
-		seq, err := Enumerate(tb, links, Options{Workers: 1})
+		seq, err := EnumerateContext(context.Background(), tb, links, Options{Workers: 1})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, workers := range []int{2, 4, 8} {
-			par, err := Enumerate(tb, links, Options{Workers: workers})
+			par, err := EnumerateContext(context.Background(), tb, links, Options{Workers: workers})
 			if err != nil {
 				t.Fatalf("workers %d: %v", workers, err)
 			}
@@ -110,7 +111,7 @@ func TestWideParallelDeterminism(t *testing.T) {
 func TestWideLimitTrips(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	tb, links := wideTable(t, rng, 65, 2)
-	_, truncated, explored, err := EnumeratePartialCounted(tb, links, Options{})
+	_, truncated, explored, err := EnumeratePartialContext(context.Background(), tb, links, Options{})
 	if err != nil || truncated {
 		t.Fatalf("full wide walk: truncated=%v err=%v", truncated, err)
 	}
@@ -118,7 +119,7 @@ func TestWideLimitTrips(t *testing.T) {
 		t.Fatalf("wide walk reported %d explored assignments", explored)
 	}
 	if explored > 1 {
-		_, truncated, _, err := EnumeratePartialCounted(tb, links, Options{Limit: int(explored) - 1})
+		_, truncated, _, err := EnumeratePartialContext(context.Background(), tb, links, Options{Limit: int(explored) - 1})
 		if err != nil || !truncated {
 			t.Fatalf("limit below count: truncated=%v err=%v, want truncated", truncated, err)
 		}

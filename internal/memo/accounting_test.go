@@ -29,7 +29,7 @@ func TestOversizedEntrySelfEvicts(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	links := allLinks(net)
 	c := New(1) // no real family fits in one byte
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -39,7 +39,7 @@ func TestOversizedEntrySelfEvicts(t *testing.T) {
 	if st.Evictions != 1 {
 		t.Fatalf("evictions = %d, want 1 (the entry itself)", st.Evictions)
 	}
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st = c.Stats()
@@ -60,15 +60,18 @@ func TestEvictionOrderUnderInterleavedHits(t *testing.T) {
 	if len(links) < 4 {
 		t.Skip("degenerate topology")
 	}
-	uniA, uniB, uniC := links, links[:len(links)-1], links[:len(links)-2]
 	// This test pins which entry LRU eviction removes by observing the
-	// re-lookup as a miss. With delta enumeration on, the evicted uniB
-	// would instead be served as a delta growth of the cached uniC
-	// (uniC ⊂ uniB), masking the very miss under observation — so the
-	// caches here run with the warm-start path off.
+	// re-lookup as a miss. The three universes drop a different link
+	// each, so none contains another and no cached family can serve as
+	// a delta base for the re-lookup: every lookup that misses memory
+	// is a plain miss.
+	mid := len(links) / 2
+	uniA := links[1:]
+	uniB := links[:len(links)-1]
+	uniC := append(append([]topology.LinkID(nil), links[:mid]...), links[mid+1:]...)
 	size := func(uni []topology.LinkID) int64 {
 		probe := New(0)
-		if _, err := probe.Enumerate(m, uni, indepset.Options{}); err != nil {
+		if _, err := probe.EnumerateContext(context.Background(), m, uni, indepset.Options{}); err != nil {
 			t.Fatal(err)
 		}
 		return probe.Stats().Bytes
@@ -79,10 +82,9 @@ func TestEvictionOrderUnderInterleavedHits(t *testing.T) {
 	}
 	// A and B fit together; adding C must evict exactly one family.
 	c := New(sA + sB + sC/2)
-	c.SetDeltaEnabled(false)
 	mustEnum := func(uni []topology.LinkID) {
 		t.Helper()
-		if _, err := c.Enumerate(m, uni, indepset.Options{}); err != nil {
+		if _, err := c.EnumerateContext(context.Background(), m, uni, indepset.Options{}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -136,25 +138,25 @@ func TestLookupIdentityAcrossAllPaths(t *testing.T) {
 		}
 	}
 
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++
 	check("miss", int64(step))
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++
 	check("hit", int64(step))
 
-	if _, err := c.Enumerate(unkeyedModel{m}, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), unkeyedModel{m}, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	step++
 	check("bypass", int64(step))
 
 	// Truncated flight: counted as a miss, never stored.
-	if _, truncated, err := c.EnumeratePartial(m, links, indepset.Options{Limit: 2, Workers: 1}); err != nil {
+	if _, truncated, err := c.EnumeratePartialContext(context.Background(), m, links, indepset.Options{Limit: 2, Workers: 1}); err != nil {
 		t.Fatal(err)
 	} else if !truncated {
 		t.Skip("limit did not trip on this topology")
@@ -168,7 +170,7 @@ func TestLookupIdentityAcrossAllPaths(t *testing.T) {
 	swapEnumerate(t, func(context.Context, conflict.Model, []topology.LinkID, indepset.Options) ([]indepset.Set, bool, int64, error) {
 		return nil, false, 0, boom
 	})
-	if _, err := c.Enumerate(m, links[:1], indepset.Options{}); !errors.Is(err, boom) {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:1], indepset.Options{}); !errors.Is(err, boom) {
 		t.Fatalf("injected error not surfaced: %v", err)
 	}
 	step++
@@ -206,14 +208,14 @@ func TestSingleflightMergeAccountingOnError(t *testing.T) {
 	wg.Add(1)
 	go func() { // the leader
 		defer wg.Done()
-		_, errs[0] = c.Enumerate(m, links, indepset.Options{})
+		_, errs[0] = c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	}()
 	<-started // the flight is open; everyone below must join it
 	for i := 1; i <= waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			_, errs[i] = c.Enumerate(m, links, indepset.Options{})
+			_, errs[i] = c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 		}(i)
 	}
 	// Wait until all waiters are accounted as merges, then fail the
@@ -262,7 +264,7 @@ func TestStatsShapeSnapshotConsistent(t *testing.T) {
 		t.Skip("degenerate topology")
 	}
 	probe := New(0)
-	if _, err := probe.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := probe.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	budget := probe.Stats().Bytes + probe.Stats().Bytes/2 // ~one family: constant churn
@@ -280,7 +282,7 @@ func TestStatsShapeSnapshotConsistent(t *testing.T) {
 				return
 			default:
 			}
-			if _, err := c.Enumerate(m, universes[i%len(universes)], indepset.Options{}); err != nil {
+			if _, err := c.EnumerateContext(context.Background(), m, universes[i%len(universes)], indepset.Options{}); err != nil {
 				t.Error(err)
 				return
 			}

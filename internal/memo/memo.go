@@ -78,7 +78,6 @@ type Cache struct {
 	bypasses       int64
 	merges         int64
 	cancellations  int64
-	deltaOff       int32
 	coldPivots     int64
 	warmPivots     int64
 	warmResolves   int64
@@ -90,7 +89,7 @@ type Cache struct {
 // them to inject errors and to hold flights open deterministically;
 // production always points at the real walks.
 var (
-	enumerateFn = indepset.EnumeratePartialCountedContext
+	enumerateFn = indepset.EnumeratePartialContext
 	deltaFn     = indepset.EnumerateDelta
 )
 
@@ -233,23 +232,19 @@ func canonicalUniverse(links []topology.LinkID) []topology.LinkID {
 	return out[:w]
 }
 
-// Enumerate is indepset.Enumerate through the cache: a complete family
-// previously enumerated for the same key is returned without walking.
-// The returned slice is a fresh header over shared Set values; callers
-// must treat the sets as read-only (they already must — core hands the
-// same backing to every Result).
-func (c *Cache) Enumerate(m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, error) {
-	return c.EnumerateContext(context.Background(), m, links, opts)
-}
-
-// EnumerateContext is Enumerate under a context. Cancelled enumerations
-// return an error satisfying errors.Is(err, cancel.ErrCanceled) and are
-// never stored — not in memory, not on disk. A waiter merged into
-// another goroutine's flight honors its own context: its cancellation
-// detaches only that waiter, the leader's walk (and the cached result)
-// is unaffected.
+// EnumerateContext is indepset.EnumerateContext through the cache: a
+// complete family previously enumerated for the same key is returned
+// without walking. The returned slice is a fresh header over shared Set
+// values; callers must treat the sets as read-only (they already must —
+// core hands the same backing to every Result).
+//
+// Cancelled enumerations return an error satisfying errors.Is(err,
+// cancel.ErrCanceled) and are never stored — not in memory, not on
+// disk. A waiter merged into another goroutine's flight honors its own
+// context: its cancellation detaches only that waiter, the leader's
+// walk (and the cached result) is unaffected.
 func (c *Cache) EnumerateContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, error) {
-	sets, truncated, err := c.enumerate(ctx, m, links, opts)
+	sets, truncated, err := c.EnumeratePartialContext(ctx, m, links, opts)
 	if err != nil {
 		return nil, err
 	}
@@ -259,22 +254,14 @@ func (c *Cache) EnumerateContext(ctx context.Context, m conflict.Model, links []
 	return sets, nil
 }
 
-// EnumeratePartial is indepset.EnumeratePartial through the cache.
-// Complete cached families satisfy partial lookups too; truncated
-// results are handed back but never stored (their content depends on
-// scheduling).
-func (c *Cache) EnumeratePartial(m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
-	return c.enumerate(context.Background(), m, links, opts)
-}
-
-// EnumeratePartialContext is EnumeratePartial under a context; see
-// EnumerateContext for the cancellation contract.
-func (c *Cache) EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
-	return c.enumerate(ctx, m, links, opts)
-}
-
-// enumerate is the one lookup path. Counter identity, asserted by the
-// tests on every path including errors and truncation:
+// EnumeratePartialContext is indepset.EnumeratePartialContext through
+// the cache. Complete cached families satisfy partial lookups too;
+// truncated results are handed back but never stored (their content
+// depends on scheduling). See EnumerateContext for the cancellation
+// contract.
+//
+// It is the one lookup path. Counter identity, asserted by the tests on
+// every path including errors and truncation:
 //
 //	Lookups == Hits + DiskHits + DeltaHits + Misses + Bypasses + SingleflightMerges
 //
@@ -290,7 +277,7 @@ func (c *Cache) EnumeratePartialContext(ctx context.Context, m conflict.Model, l
 // that returned a cancel.ErrCanceled error, whichever path it took.
 // DeltaFallbacks is likewise a sub-count of Misses: lookups that found
 // a delta base but had to fall back to the full walk.
-func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
+func (c *Cache) EnumeratePartialContext(ctx context.Context, m conflict.Model, links []topology.LinkID, opts indepset.Options) ([]indepset.Set, bool, error) {
 	if c == nil {
 		sets, truncated, _, err := enumerateFn(ctx, m, links, opts)
 		return sets, truncated, err
@@ -361,47 +348,44 @@ func (c *Cache) enumerate(ctx context.Context, m conflict.Model, links []topolog
 	// cached entry is a complete family with an exact exploration count
 	// (truncated and cancelled walks are never stored), so any entry is
 	// a sound base and the result is byte-identical to a full walk.
-	if c.deltaEnabled() {
-		sets, explored, derr := c.tryDelta(ctx, m, prefix, universe, opts)
-		switch {
-		case derr == nil:
-			fl.sets = sets
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.insertLocked(key, universe, sets, explored)
-			c.mu.Unlock()
-			close(fl.done)
-			atomic.AddInt64(&c.deltaHits, 1)
-			tm.SetOutcome("delta")
-			tm.AddSets(int64(len(sets)))
-			c.store.enqueue(key, sets, explored)
-			return copyFamily(sets), false, nil
-		case errors.Is(derr, cancel.ErrCanceled):
-			// Cancelled mid-chain: the lookup ends here, as a cancelled
-			// miss — running the full walk against a dead context would
-			// only fail the same way.
-			atomic.AddInt64(&c.misses, 1)
-			tm.SetOutcome("miss")
-			fl.err = derr
-			c.mu.Lock()
-			delete(c.inflight, key)
-			c.mu.Unlock()
-			close(fl.done)
-			return c.countCanceled(nil, false, derr)
-		case errors.Is(derr, errNoDeltaBase):
-			// Nothing to warm-start from: a plain miss, not a fallback.
-		default:
-			// A base existed but the chain could not serve it (model
-			// without a delta walk, >64 rate classes, a limit the grown
-			// universe trips, ...): fall back to the full walk.
-			atomic.AddInt64(&c.deltaFallbacks, 1)
-		}
+	sets, explored, derr := c.tryDelta(ctx, m, prefix, universe, opts)
+	switch {
+	case derr == nil:
+		fl.sets = sets
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.insertLocked(key, universe, sets, explored)
+		c.mu.Unlock()
+		close(fl.done)
+		atomic.AddInt64(&c.deltaHits, 1)
+		tm.SetOutcome("delta")
+		tm.AddSets(int64(len(sets)))
+		c.store.enqueue(key, sets, explored)
+		return copyFamily(sets), false, nil
+	case errors.Is(derr, cancel.ErrCanceled):
+		// Cancelled mid-chain: the lookup ends here, as a cancelled
+		// miss — running the full walk against a dead context would
+		// only fail the same way.
+		atomic.AddInt64(&c.misses, 1)
+		tm.SetOutcome("miss")
+		fl.err = derr
+		c.mu.Lock()
+		delete(c.inflight, key)
+		c.mu.Unlock()
+		close(fl.done)
+		return c.countCanceled(nil, false, derr)
+	case errors.Is(derr, errNoDeltaBase):
+		// Nothing to warm-start from: a plain miss, not a fallback.
+	default:
+		// A base existed but the chain could not serve it (model
+		// without a delta walk, >64 rate classes, a limit the grown
+		// universe trips, ...): fall back to the full walk.
+		atomic.AddInt64(&c.deltaFallbacks, 1)
 	}
 
 	atomic.AddInt64(&c.misses, 1)
 	tm.SetOutcome("miss")
 	tm.End() // before the walk: the DFS accounts under the enumerate stage
-	var explored int64
 	fl.sets, fl.truncated, explored, fl.err = enumerateFn(ctx, m, links, opts)
 
 	c.mu.Lock()
@@ -538,26 +522,6 @@ func insertLink(universe []topology.LinkID, l topology.LinkID) []topology.LinkID
 		out = append(out, l)
 	}
 	return out
-}
-
-// SetDeltaEnabled toggles the delta path (on by default). Off, every
-// lookup that misses memory and disk runs a full enumeration — the
-// behavior is identical either way (delta results are byte-identical);
-// the knob exists for benchmarks and diagnostics that need the two
-// regimes separately.
-func (c *Cache) SetDeltaEnabled(on bool) {
-	if c == nil {
-		return
-	}
-	var v int32
-	if !on {
-		v = 1
-	}
-	atomic.StoreInt32(&c.deltaOff, v)
-}
-
-func (c *Cache) deltaEnabled() bool {
-	return atomic.LoadInt32(&c.deltaOff) == 0
 }
 
 // copyFlight extracts a finished flight's outcome, copying the family

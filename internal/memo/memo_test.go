@@ -1,6 +1,7 @@
 package memo
 
 import (
+	"context"
 	"sync"
 	"testing"
 
@@ -34,15 +35,15 @@ func TestHitMissAndIdentity(t *testing.T) {
 	links := allLinks(net)
 	c := New(0)
 
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatalf("fresh enumerate: %v", err)
 	}
-	first, err := c.Enumerate(m, links, indepset.Options{})
+	first, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatalf("cache enumerate (miss): %v", err)
 	}
-	second, err := c.Enumerate(m, links, indepset.Options{})
+	second, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatalf("cache enumerate (hit): %v", err)
 	}
@@ -82,10 +83,10 @@ func TestOrderInsensitiveKeyAndLookup(t *testing.T) {
 	}
 
 	c := New(0)
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Enumerate(m, reversed, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, reversed, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if st := c.Stats(); st.Hits != 1 || st.Misses != 1 {
@@ -114,7 +115,7 @@ func TestTruncatedNeverStored(t *testing.T) {
 	links := allLinks(net)
 	c := New(0)
 	opts := indepset.Options{Limit: 2, Workers: 1}
-	_, truncated, err := c.EnumeratePartial(m, links, opts)
+	_, truncated, err := c.EnumeratePartialContext(context.Background(), m, links, opts)
 	if err != nil {
 		t.Fatalf("partial: %v", err)
 	}
@@ -124,7 +125,7 @@ func TestTruncatedNeverStored(t *testing.T) {
 	if st := c.Stats(); st.Entries != 0 {
 		t.Fatalf("truncated family was stored: %d entries", st.Entries)
 	}
-	if _, err := c.Enumerate(m, links, opts); err == nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, opts); err == nil {
 		t.Fatal("Enumerate through cache should report the limit error")
 	}
 }
@@ -138,15 +139,15 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// A budget only big enough for roughly one family forces eviction.
 	probe := New(0)
-	if _, err := probe.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := probe.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	budget := probe.Stats().Bytes + probe.Stats().Bytes/2
 	c := New(budget)
-	if _, err := c.Enumerate(m, links, indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Enumerate(m, links[:len(links)-2], indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:len(links)-2], indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	st := c.Stats()
@@ -158,7 +159,7 @@ func TestLRUEvictionByBytes(t *testing.T) {
 	}
 	// The most recent family must have survived and hit.
 	before := c.Stats().Hits
-	if _, err := c.Enumerate(m, links[:len(links)-2], indepset.Options{}); err != nil {
+	if _, err := c.EnumerateContext(context.Background(), m, links[:len(links)-2], indepset.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	if c.Stats().Hits != before+1 {
@@ -182,7 +183,7 @@ func TestSingleflightMerges(t *testing.T) {
 		go func(i int) {
 			defer wg.Done()
 			<-start
-			results[i], errs[i] = c.Enumerate(m, links, indepset.Options{Workers: 1})
+			results[i], errs[i] = c.EnumerateContext(context.Background(), m, links, indepset.Options{Workers: 1})
 		}(i)
 	}
 	close(start)
@@ -210,11 +211,11 @@ func TestNilCacheBypasses(t *testing.T) {
 	m := conflict.NewPhysical(net)
 	links := allLinks(net)
 	var c *Cache
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, links, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,11 +234,11 @@ func TestUnfingerprintableModelBypasses(t *testing.T) {
 	m := unkeyedModel{conflict.NewPhysical(net)}
 	links := allLinks(net)
 	c := New(0)
-	fresh, err := indepset.Enumerate(m, links, indepset.Options{})
+	fresh, err := indepset.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, err := c.Enumerate(m, links, indepset.Options{})
+	got, err := c.EnumerateContext(context.Background(), m, links, indepset.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
