@@ -125,8 +125,16 @@ func SupportsAlone(m Model, link topology.LinkID, r radio.Rate) bool {
 }
 
 // AloneMaxRate returns the highest rate link supports when transmitting
-// alone, or 0 if none.
+// alone, or 0 if none. Routing evaluates it per relaxed edge and per
+// path hop, so the profile-based models answer without building their
+// Rates slice.
 func AloneMaxRate(m Model, link topology.LinkID) radio.Rate {
+	switch pm := m.(type) {
+	case *Physical:
+		return profileAloneMax(pm.net, link)
+	case *Protocol:
+		return profileAloneMax(pm.net, link)
+	}
 	rates := m.Rates(link)
 	if len(rates) == 0 {
 		return 0
@@ -139,4 +147,21 @@ func AloneMaxRate(m Model, link topology.LinkID) radio.Rate {
 // transmissions.
 func SharesNode(a, b topology.Link) bool {
 	return a.Tx == b.Tx || a.Tx == b.Rx || a.Rx == b.Tx || a.Rx == b.Rx
+}
+
+// profileAloneMax is Rates(link)[0] of the models whose Rates are the
+// profile rates at or below the link's distance-limited maximum: the
+// first such rate, since classes run in descending rate order.
+func profileAloneMax(net *topology.Network, link topology.LinkID) radio.Rate {
+	l, err := net.Link(link)
+	if err != nil {
+		return 0
+	}
+	prof := net.Profile()
+	for i := 0; i < prof.NumClasses(); i++ {
+		if r := prof.Class(i).Rate; r <= l.MaxRate {
+			return r
+		}
+	}
+	return 0
 }

@@ -336,3 +336,27 @@ func TestFixedRatesConflictEnforced(t *testing.T) {
 		t.Errorf("MaxRate under conflict = %v, want 0", got)
 	}
 }
+
+// TestAloneMaxRateProfileModels: on the profile-based models
+// AloneMaxRate is Rates(link)[0] (0 for an unusable or unknown link)
+// and allocates nothing — routing calls it per relaxed edge.
+func TestAloneMaxRateProfileModels(t *testing.T) {
+	net, err := topology.Random(radio.NewProfile80211a(), geom.Rect{W: 500, H: 500}, 12, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []Model{NewPhysical(net), NewProtocol(net)} {
+		for id := topology.LinkID(-1); int(id) <= net.NumLinks(); id++ {
+			var want radio.Rate
+			if rates := m.Rates(id); len(rates) > 0 {
+				want = rates[0]
+			}
+			if got := AloneMaxRate(m, id); got != want {
+				t.Errorf("%T link %d: AloneMaxRate %v, Rates()[0] %v", m, id, got, want)
+			}
+		}
+		if allocs := testing.AllocsPerRun(100, func() { AloneMaxRate(m, 0) }); allocs != 0 {
+			t.Errorf("%T: AloneMaxRate allocates %v times per call", m, allocs)
+		}
+	}
+}

@@ -281,13 +281,14 @@ func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand map[t
 		return res, nil
 	}
 	res.Bandwidth = sol.Objective
-	var sched schedule.Schedule
+	// The sets are one enumerated family, so their keys are distinct,
+	// and the filter below is Normalized's: there is nothing to merge
+	// or drop, and the slots are already the normalized schedule.
 	for i, set := range st.sets {
 		if share := sol.Value(st.lambdas[i]); share > 1e-12 {
-			sched.Slots = append(sched.Slots, schedule.Slot{Set: set, Share: share})
+			res.Schedule.Slots = append(res.Schedule.Slots, schedule.Slot{Set: set, Share: share})
 		}
 	}
-	res.Schedule = sched.Normalized()
 	return res, nil
 }
 

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"sync"
@@ -317,6 +318,81 @@ func TestSessionConcurrentQueries(t *testing.T) {
 				}
 				if _, _, err := sess.FeasibleDemands(bg); err != nil {
 					t.Errorf("goroutine %d: %v", g, err)
+					return
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+}
+
+// TestSessionRepeatedQueryBitIdentical asks the same availability
+// question 500 times against an unchanged flow set — 100 times in a
+// row, then 400 more from 8 goroutines at once — and requires every
+// answer to equal the first bit for bit: the bandwidth, the status and
+// every schedule slot. Repeats take the unchanged-resolve shortcut, so
+// this pins it to the answer the first warm state produced. It also
+// checks that normalizing the session's schedule would change nothing,
+// which is why the session does not normalize it.
+func TestSessionRepeatedQueryBitIdentical(t *testing.T) {
+	net := sessionNetwork(t, 10, 33)
+	m := conflict.NewPhysical(net)
+	sess := NewSession(m, Options{Cache: memo.New(0)})
+	rng := rand.New(rand.NewSource(5))
+	var paths []topology.Path
+	for len(paths) < 2 {
+		if p := randomPath(rng, net); len(p) > 1 {
+			paths = append(paths, p)
+		}
+	}
+	bg := []Flow{{Path: paths[1], Demand: 0.5}}
+	first, err := sess.AvailableBandwidth(bg, paths[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if first.Status != lp.Optimal || len(first.Schedule.Slots) == 0 {
+		t.Fatalf("first answer: status %v, %d slots", first.Status, len(first.Schedule.Slots))
+	}
+	same := func(label string, got *Result) error {
+		if got.Status != first.Status || math.Float64bits(got.Bandwidth) != math.Float64bits(first.Bandwidth) {
+			return fmt.Errorf("%s: (%v, %x), first (%v, %x)", label, got.Status,
+				math.Float64bits(got.Bandwidth), first.Status, math.Float64bits(first.Bandwidth))
+		}
+		if len(got.Schedule.Slots) != len(first.Schedule.Slots) {
+			return fmt.Errorf("%s: %d slots, first %d", label, len(got.Schedule.Slots), len(first.Schedule.Slots))
+		}
+		for i, s := range got.Schedule.Slots {
+			f := first.Schedule.Slots[i]
+			if s.Set.Key() != f.Set.Key() || math.Float64bits(s.Share) != math.Float64bits(f.Share) {
+				return fmt.Errorf("%s: slot %d is %v, first %v", label, i, s, f)
+			}
+		}
+		return nil
+	}
+	if err := same("normalized", &Result{Status: first.Status, Bandwidth: first.Bandwidth, Schedule: first.Schedule.Normalized()}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 100; i++ {
+		res, err := sess.AvailableBandwidth(bg, paths[0])
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := same(fmt.Sprintf("repeat %d", i), res); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			for i := 0; i < 50; i++ {
+				res, err := sess.AvailableBandwidth(bg, paths[0])
+				if err == nil {
+					err = same(fmt.Sprintf("goroutine %d repeat %d", g, i), res)
+				}
+				if err != nil {
+					t.Error(err)
 					return
 				}
 			}

@@ -127,13 +127,17 @@ func BottleneckNode(ps PathState) (float64, error) {
 	if err := ps.Validate(); err != nil {
 		return 0, err
 	}
+	return bottleneckNode(ps), nil
+}
+
+func bottleneckNode(ps PathState) float64 {
 	f := math.Inf(1)
 	for i := range ps.Path {
 		if v := ps.Idle[i] * float64(ps.Rates[i]); v < f {
 			f = v
 		}
 	}
-	return f, nil
+	return f
 }
 
 // CliqueConstraint is Eq. 11: for every local interference clique C of
@@ -144,6 +148,10 @@ func CliqueConstraint(m conflict.Model, ps PathState) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
+	return cliqueConstraint(cliques), nil
+}
+
+func cliqueConstraint(cliques []clique.Clique) float64 {
 	f := math.Inf(1)
 	for _, c := range cliques {
 		if t := c.UnitTransmissionTime(); t > 0 {
@@ -152,7 +160,7 @@ func CliqueConstraint(m conflict.Model, ps PathState) (float64, error) {
 			}
 		}
 	}
-	return f, nil
+	return f
 }
 
 // MinCliqueBottleneck is Eq. 12: within every local clique, f is capped
@@ -163,7 +171,10 @@ func MinCliqueBottleneck(m conflict.Model, ps PathState) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	idx := indexOf(ps)
+	return minCliqueBottleneck(cliques, indexOf(ps), ps), nil
+}
+
+func minCliqueBottleneck(cliques []clique.Clique, idx map[topology.LinkID]int, ps PathState) float64 {
 	f := math.Inf(1)
 	for _, c := range cliques {
 		if t := c.UnitTransmissionTime(); t > 0 {
@@ -178,7 +189,7 @@ func MinCliqueBottleneck(m conflict.Model, ps PathState) (float64, error) {
 			}
 		}
 	}
-	return f, nil
+	return f
 }
 
 // ConservativeClique is Eq. 13, the paper's proposed estimator: assume
@@ -192,14 +203,17 @@ func ConservativeClique(m conflict.Model, ps PathState) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	idx := indexOf(ps)
+	return conservativeClique(cliques, indexOf(ps), ps), nil
+}
+
+func conservativeClique(cliques []clique.Clique, idx map[topology.LinkID]int, ps PathState) float64 {
 	f := math.Inf(1)
 	for _, c := range cliques {
 		if v := conservativeCliqueValue(c, idx, ps); v < f {
 			f = v
 		}
 	}
-	return f, nil
+	return f
 }
 
 // ExpectedCliqueTime is Eq. 15: f <= 1 / max_C sum_{i in C}
@@ -211,7 +225,10 @@ func ExpectedCliqueTime(m conflict.Model, ps PathState) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	idx := indexOf(ps)
+	return expectedCliqueTime(cliques, indexOf(ps), ps), nil
+}
+
+func expectedCliqueTime(cliques []clique.Clique, idx map[topology.LinkID]int, ps PathState) float64 {
 	maxT := 0.0
 	for _, c := range cliques {
 		t := 0.0
@@ -219,7 +236,7 @@ func ExpectedCliqueTime(m conflict.Model, ps PathState) (float64, error) {
 			i := idx[cp.Link]
 			eff := ps.Idle[i] * float64(ps.Rates[i])
 			if eff <= 0 {
-				return 0, nil
+				return 0
 			}
 			t += 1 / eff
 		}
@@ -228,22 +245,27 @@ func ExpectedCliqueTime(m conflict.Model, ps PathState) (float64, error) {
 		}
 	}
 	if maxT == 0 {
-		return math.Inf(1), nil
+		return math.Inf(1)
 	}
-	return 1 / maxT, nil
+	return 1 / maxT
 }
 
-// EstimateAll evaluates every metric on the same state.
+// EstimateAll evaluates every metric on the same state. The path's
+// local cliques and hop index are computed once and shared by the four
+// clique-based estimators.
 func EstimateAll(m conflict.Model, ps PathState) (map[Metric]float64, error) {
-	out := make(map[Metric]float64, 5)
-	for _, metric := range AllMetrics() {
-		v, err := Estimate(metric, m, ps)
-		if err != nil {
-			return nil, err
-		}
-		out[metric] = v
+	cliques, err := localCliques(m, ps)
+	if err != nil {
+		return nil, err
 	}
-	return out, nil
+	idx := indexOf(ps)
+	return map[Metric]float64{
+		MetricCliqueConstraint:   cliqueConstraint(cliques),
+		MetricBottleneckNode:     bottleneckNode(ps),
+		MetricMinOfBoth:          minCliqueBottleneck(cliques, idx, ps),
+		MetricConservativeClique: conservativeClique(cliques, idx, ps),
+		MetricExpectedCliqueTime: expectedCliqueTime(cliques, idx, ps),
+	}, nil
 }
 
 func localCliques(m conflict.Model, ps PathState) ([]clique.Clique, error) {

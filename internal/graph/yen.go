@@ -22,12 +22,26 @@ func KShortestPaths(g Network, src, dst topology.NodeID, w Weight, k int) ([]Rou
 	if k < 1 {
 		return nil, fmt.Errorf("graph: k must be >= 1, got %d", k)
 	}
-	best, bestW, err := ShortestPath(g, src, dst, w)
+	// Every search below reads the same weights: evaluate w once per
+	// link instead of once per relaxation per spur search.
+	adj := g.Adjacency()
+	weights := make([]float64, adj.NumLinks())
+	for id := range weights {
+		l, err := g.Link(topology.LinkID(id))
+		if err != nil {
+			return nil, fmt.Errorf("graph: resolving link %d: %w", id, err)
+		}
+		weights[id] = w(l)
+	}
+	wid := func(id topology.LinkID) float64 { return weights[id] }
+	best, bestW, err := dijkstra(adj, src, dst, wid, nil, nil)
 	if err != nil {
 		return nil, err
 	}
 	accepted := []RoutedPath{{Path: best, Weight: bestW}}
 	var candidates []RoutedPath
+	excludedLinks := make([]bool, adj.NumLinks())
+	excludedNodes := make([]bool, adj.NumNodes())
 
 	for len(accepted) < k {
 		prevPath := accepted[len(accepted)-1].Path
@@ -40,7 +54,8 @@ func KShortestPaths(g Network, src, dst topology.NodeID, w Weight, k int) ([]Rou
 			spurNode := prevNodes[i]
 			rootPath := prevPath[:i]
 
-			excludedLinks := make(map[topology.LinkID]bool)
+			clear(excludedLinks)
+			clear(excludedNodes)
 			for _, ap := range accepted {
 				if pathHasPrefix(ap.Path, rootPath) && len(ap.Path) > i {
 					excludedLinks[ap.Path[i]] = true
@@ -53,12 +68,11 @@ func KShortestPaths(g Network, src, dst topology.NodeID, w Weight, k int) ([]Rou
 			}
 			// Exclude root-path nodes (except the spur node) to keep
 			// paths loopless.
-			excludedNodes := make(map[topology.NodeID]bool)
 			for _, nid := range prevNodes[:i] {
 				excludedNodes[nid] = true
 			}
 
-			spurPath, spurW, err := shortestPathConstrained(g, spurNode, dst, w, excludedLinks, excludedNodes)
+			spurPath, spurW, err := dijkstra(adj, spurNode, dst, wid, excludedLinks, excludedNodes)
 			if errors.Is(err, ErrNoPath) {
 				continue
 			}

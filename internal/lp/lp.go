@@ -95,6 +95,10 @@ type Problem struct {
 	varNames []string
 	obj      []float64
 	cons     []constraint
+	// mutations counts the changes that can move the optimum (new
+	// variables or constraints, objective or rhs changes), so a
+	// WarmSolver can tell an unchanged problem from a changed one.
+	mutations uint64
 }
 
 // NewProblem returns an empty problem with the given sense.
@@ -107,6 +111,7 @@ func NewProblem(sense Sense) *Problem {
 func (p *Problem) AddVar(name string, objCoef float64) Var {
 	p.varNames = append(p.varNames, name)
 	p.obj = append(p.obj, objCoef)
+	p.mutations++
 	return Var(len(p.obj) - 1)
 }
 
@@ -135,6 +140,7 @@ func (p *Problem) SetObjCoef(v Var, c float64) error {
 		return fmt.Errorf("lp: variable %d out of range", v)
 	}
 	p.obj[v] = c
+	p.mutations++
 	return nil
 }
 
@@ -178,6 +184,7 @@ func (p *Problem) AddConstraint(name string, coefs map[Var]float64, rel Rel, rhs
 		}
 	}
 	p.cons = append(p.cons, constraint{name: name, coefs: cp, rel: rel, rhs: rhs})
+	p.mutations++
 	return nil
 }
 
@@ -208,6 +215,7 @@ func (p *Problem) AddOwnedConstraint(name string, coefs map[Var]float64, rel Rel
 		}
 	}
 	p.cons = append(p.cons, constraint{name: name, coefs: coefs, rel: rel, rhs: rhs})
+	p.mutations++
 	return nil
 }
 
@@ -319,6 +327,10 @@ func (p *Problem) SetRHS(k int, rhs float64) error {
 	}
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {
 		return fmt.Errorf("lp: constraint %q given non-finite rhs %g", p.cons[k].name, rhs)
+	}
+	//lint:ignore abw/floateq exact no-op test: only a bound that actually moved invalidates a retained optimum
+	if p.cons[k].rhs != rhs {
+		p.mutations++
 	}
 	p.cons[k].rhs = rhs
 	return nil

@@ -44,6 +44,9 @@ type WarmSolver struct {
 
 	// Dimensions at tableau build time; growth forces a cold rebuild.
 	nVars, nCons int
+	// solvedAt is the problem's mutation count when the retained
+	// tableau was last brought to an optimum.
+	solvedAt uint64
 
 	lastPivots int
 	lastWarm   bool
@@ -88,6 +91,7 @@ func (w *WarmSolver) retain(tb *tableau) {
 	if tb != nil {
 		w.nVars = w.p.NumVars()
 		w.nCons = w.p.NumConstraints()
+		w.solvedAt = w.p.mutations
 	}
 }
 
@@ -133,6 +137,13 @@ func (w *WarmSolver) SetRHS(k int, rhs float64) error {
 // primal feasibility, then a primal cleanup — and reports warm=true;
 // otherwise (no tableau, structural growth, or any warm-path bailout)
 // it re-solves cold and retains the fresh tableau.
+//
+// When nothing changed since the tableau's last optimum — no AddVar,
+// AddConstraint, SetObjCoef or value-changing SetRHS — and the tableau
+// passes the warm path's feasibility checks, the warm path would price
+// once, find no entering column and return the same point at 0 pivots.
+// Resolve then skips the pricing and extracts that point directly; it
+// still counts as a warm resolve with 0 pivots.
 func (w *WarmSolver) Resolve() (*Solution, bool, error) {
 	return w.ResolveContext(context.Background())
 }
@@ -153,12 +164,13 @@ func (w *WarmSolver) ResolveContext(ctx context.Context) (*Solution, bool, error
 		w.tab = nil
 	}
 	if w.tab != nil {
-		sol, ok, err := w.tab.dualResolve(w.p, chk)
+		sol, ok, err := w.tab.dualResolve(w.p, chk, w.p.mutations == w.solvedAt)
 		if err != nil {
 			w.tab = nil
 			return nil, false, err
 		}
 		if ok {
+			w.solvedAt = w.p.mutations
 			w.lastPivots = sol.Pivots
 			w.lastWarm = true
 			w.warmCount++
@@ -239,9 +251,26 @@ func (w *WarmSolver) WarmResolves() int { return w.warmCount }
 // primal feasibility after rhs changes, then a primal cleanup pass.
 // ok=false means the warm path cannot vouch for the result (the caller
 // re-solves cold); err is reserved for malformed problems.
-func (tb *tableau) dualResolve(p *Problem, chk *cancel.Checker) (*Solution, bool, error) {
+//
+// unchanged says the problem has not been mutated since the tableau's
+// last optimum. If the tableau is also settled, the loops below would
+// do nothing: no dual pivot, and a cleanup that prices once and finds
+// no entering column, because neither the tableau nor the costs moved
+// since the primal loop last stopped at this basis. The point is then
+// read off directly, skipping the pricing, bit-identical at 0 pivots.
+func (tb *tableau) dualResolve(p *Problem, chk *cancel.Checker, unchanged bool) (*Solution, bool, error) {
 	if p.sense != Minimize && p.sense != Maximize {
 		return nil, false, fmt.Errorf("lp: invalid sense %d", int(p.sense))
+	}
+	if unchanged && tb.settled() {
+		// The dual loop's first cancellation poll, so a cancelled
+		// context fails here exactly as it would below.
+		if err := chk.Check(); err != nil {
+			return nil, false, err
+		}
+		sol := tb.solution(p)
+		sol.Pivots = 0
+		return sol, true, nil
 	}
 	t, basis, total := tb.t, tb.basis, tb.total
 	c2 := tb.phase2Costs(p)
@@ -328,6 +357,19 @@ func (tb *tableau) dualResolve(p *Problem, chk *cancel.Checker) (*Solution, bool
 	sol := tb.solution(p)
 	sol.Pivots = tb.pivots - startPivots
 	return sol, true, nil
+}
+
+// settled reports whether the tableau passes dualResolve's feasibility
+// checks as it stands: no rhs entry below -feasTol (so no dual pivot)
+// and no basic artificial above feasTol (so no cold fallback).
+func (tb *tableau) settled() bool {
+	for i, b := range tb.basis {
+		v := tb.t[i][tb.total]
+		if v < -feasTol || (tb.isArt[b] && math.Abs(v) > feasTol) {
+			return false
+		}
+	}
+	return true
 }
 
 // reducedCosts computes r_j = c_j − c_B·B⁻¹·A_j into the shared

@@ -1,10 +1,15 @@
 package lp
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"abw/internal/cancel"
+	"abw/internal/obs"
 )
 
 // warmTol bounds the disagreement we accept between a warm resolve and
@@ -296,4 +301,181 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 		}
 		assertAgrees(t, 0, step, got, want)
 	}
+}
+
+// armedWarm returns a solver holding an optimal tableau of a random
+// program: after its cold solve and, on odd trials, after one warm
+// resolve of a bound change too, so the shortcut is exercised from both
+// kinds of optimum. It returns nil when the program has no optimum.
+func armedWarm(t *testing.T, rng *rand.Rand, trial int) *WarmSolver {
+	t.Helper()
+	w := NewWarmSolver(randomWarmLP(rng))
+	if _, err := w.Solve(); err != nil {
+		t.Fatalf("trial %d: cold solve: %v", trial, err)
+	}
+	if trial%2 == 1 && w.tab != nil {
+		if err := w.SetRHS(rng.Intn(w.p.NumConstraints()), dyadic(rng)+2); err != nil {
+			t.Fatalf("trial %d: SetRHS: %v", trial, err)
+		}
+		if _, _, err := w.Resolve(); err != nil {
+			t.Fatalf("trial %d: resolve: %v", trial, err)
+		}
+	}
+	if w.tab == nil {
+		return nil
+	}
+	return w
+}
+
+// armed reports whether the next Resolve takes the unchanged-resolve
+// shortcut.
+func (w *WarmSolver) armed() bool {
+	return w.tab != nil && w.p.mutations == w.solvedAt && w.tab.settled()
+}
+
+func sameBits(a, b *Solution) bool {
+	if a.Status != b.Status || math.Float64bits(a.Objective) != math.Float64bits(b.Objective) || len(a.X) != len(b.X) {
+		return false
+	}
+	for i := range a.X {
+		if math.Float64bits(a.X[i]) != math.Float64bits(b.X[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// TestWarmUnchangedResolveShortcut: a Resolve with nothing changed
+// since the last optimum returns exactly what the full warm path (dual
+// loop plus primal cleanup) returns on that tableau — X and Objective
+// bit for bit at 0 pivots — and is accounted as a warm resolve: warm
+// flag, LastWarm, WarmResolves and an lp_warm stage with 0 pivots.
+func TestWarmUnchangedResolveShortcut(t *testing.T) {
+	rng := rand.New(rand.NewSource(151))
+	shortcuts := 0
+	for trial := 0; trial < 120; trial++ {
+		w := armedWarm(t, rng, trial)
+		if w == nil || !w.armed() {
+			continue
+		}
+		full, ok, err := w.tab.dualResolve(w.p, nil, false)
+		if err != nil || !ok || full.Pivots != 0 {
+			t.Fatalf("trial %d: forced dualResolve: ok=%v err=%v pivots=%v", trial, ok, err, full)
+		}
+		before := w.WarmResolves()
+		span := obs.NewSpan("shortcut")
+		got, warm, err := w.ResolveContext(obs.WithSpan(context.Background(), span))
+		if err != nil {
+			t.Fatalf("trial %d: resolve: %v", trial, err)
+		}
+		if !warm || got.Pivots != 0 || !w.LastWarm() || w.LastPivots() != 0 || w.WarmResolves() != before+1 {
+			t.Fatalf("trial %d: warm=%v pivots=%d LastWarm=%v LastPivots=%d WarmResolves %d -> %d",
+				trial, warm, got.Pivots, w.LastWarm(), w.LastPivots(), before, w.WarmResolves())
+		}
+		if !sameBits(got, full) {
+			t.Fatalf("trial %d: shortcut %+v, full warm path %+v", trial, got, full)
+		}
+		stages := span.Trace().Stages
+		if len(stages) != 1 || stages[0].Stage != obs.StageLPWarm || stages[0].Calls != 1 ||
+			stages[0].Warm != 1 || stages[0].Pivots != 0 {
+			t.Fatalf("trial %d: stages %+v, want one lp_warm call, warm, 0 pivots", trial, stages)
+		}
+		if !w.armed() {
+			t.Fatalf("trial %d: shortcut disarmed itself", trial)
+		}
+		shortcuts++
+	}
+	if shortcuts < 20 {
+		t.Fatalf("only %d trials reached the shortcut", shortcuts)
+	}
+}
+
+// TestWarmShortcutInvalidation: every change that can move the optimum
+// disarms the shortcut, and the resolve after it still agrees with a
+// cold solve; a SetRHS to the current value does not disarm it, and a
+// cancelled resolve drops the tableau so the next one runs cold.
+func TestWarmShortcutInvalidation(t *testing.T) {
+	changes := []struct {
+		name   string
+		change func(*rand.Rand, *WarmSolver) error
+		disarm bool
+	}{
+		{"SetRHS same value", func(rng *rand.Rand, w *WarmSolver) error {
+			k := rng.Intn(w.p.NumConstraints())
+			return w.SetRHS(k, w.p.RHS(k))
+		}, false},
+		{"SetRHS delta", func(rng *rand.Rand, w *WarmSolver) error {
+			k := rng.Intn(w.p.NumConstraints())
+			return w.SetRHS(k, w.p.RHS(k)+0.5)
+		}, true},
+		{"SetObjCoef", func(rng *rand.Rand, w *WarmSolver) error {
+			return w.p.SetObjCoef(Var(rng.Intn(w.p.NumVars())), dyadic(rng))
+		}, true},
+		{"AddVar", func(rng *rand.Rand, w *WarmSolver) error {
+			w.p.AddVar("extra", dyadic(rng))
+			return nil
+		}, true},
+		{"AddConstraint", func(rng *rand.Rand, w *WarmSolver) error {
+			return w.p.AddConstraint("extra", map[Var]float64{0: 1}, LE, 8)
+		}, true},
+		{"AddOwnedConstraint", func(rng *rand.Rand, w *WarmSolver) error {
+			return w.p.AddOwnedConstraint("extra", map[Var]float64{0: 1}, LE, 8)
+		}, true},
+	}
+	for _, c := range changes {
+		t.Run(c.name, func(t *testing.T) {
+			rng := rand.New(rand.NewSource(152))
+			checked := 0
+			for trial := 0; trial < 60; trial++ {
+				w := armedWarm(t, rng, trial)
+				if w == nil || !w.armed() {
+					continue
+				}
+				if err := c.change(rng, w); err != nil {
+					t.Fatalf("trial %d: %v", trial, err)
+				}
+				if w.armed() == c.disarm {
+					t.Fatalf("trial %d: armed=%v after the change, want %v", trial, w.armed(), !c.disarm)
+				}
+				got, _, err := w.Resolve()
+				if err != nil {
+					t.Fatalf("trial %d: resolve: %v", trial, err)
+				}
+				want, err := cloneProblem(w.p).Solve()
+				if err != nil {
+					t.Fatalf("trial %d: reference solve: %v", trial, err)
+				}
+				assertAgrees(t, trial, 0, got, want)
+				checked++
+			}
+			if checked < 20 {
+				t.Fatalf("only %d trials checked", checked)
+			}
+		})
+	}
+	t.Run("cancelled resolve", func(t *testing.T) {
+		rng := rand.New(rand.NewSource(153))
+		checked := 0
+		for trial := 0; trial < 60; trial++ {
+			w := armedWarm(t, rng, trial)
+			if w == nil || !w.armed() {
+				continue
+			}
+			ctx, cancelFn := context.WithCancel(context.Background())
+			cancelFn()
+			if _, _, err := w.ResolveContext(ctx); !errors.Is(err, cancel.ErrCanceled) {
+				t.Fatalf("trial %d: cancelled resolve returned %v", trial, err)
+			}
+			if w.armed() {
+				t.Fatalf("trial %d: shortcut still armed after a cancelled resolve", trial)
+			}
+			if _, warm, err := w.Resolve(); err != nil || warm {
+				t.Fatalf("trial %d: resolve after cancellation: warm=%v err=%v, want a cold solve", trial, warm, err)
+			}
+			checked++
+		}
+		if checked < 20 {
+			t.Fatalf("only %d trials checked", checked)
+		}
+	})
 }

@@ -56,47 +56,93 @@ func AllMetrics() []Metric {
 // MetricAvgE2ED and ignored by the others. Links whose endpoints have no
 // idle time are excluded (infinite weight) under MetricAvgE2ED.
 func Weight(m conflict.Model, metric Metric, nodeIdle []float64) (graph.Weight, error) {
+	if err := checkMetric(metric, nodeIdle); err != nil {
+		return nil, err
+	}
+	return func(l topology.Link) float64 {
+		return linkWeight(m, metric, nodeIdle, l.ID, l.Tx, l.Rx)
+	}, nil
+}
+
+// checkMetric reports an error unless linkWeight can evaluate metric
+// with the given idle ratios.
+func checkMetric(metric Metric, nodeIdle []float64) error {
 	switch metric {
-	case MetricHopCount:
-		return graph.HopWeight, nil
-	case MetricE2ETD:
-		return func(l topology.Link) float64 {
-			r := conflict.AloneMaxRate(m, l.ID)
-			if r <= 0 {
-				return math.Inf(1)
-			}
-			return 1 / float64(r)
-		}, nil
+	case MetricHopCount, MetricE2ETD:
+		return nil
 	case MetricAvgE2ED:
 		if nodeIdle == nil {
-			return nil, fmt.Errorf("routing: %v requires node idleness", metric)
+			return fmt.Errorf("routing: %v requires node idleness", metric)
 		}
-		return func(l topology.Link) float64 {
-			r := conflict.AloneMaxRate(m, l.ID)
-			if r <= 0 {
-				return math.Inf(1)
-			}
-			if int(l.Tx) >= len(nodeIdle) || int(l.Rx) >= len(nodeIdle) {
-				return math.Inf(1)
-			}
-			lambda := math.Min(nodeIdle[l.Tx], nodeIdle[l.Rx])
-			if lambda <= 0 {
-				return math.Inf(1)
-			}
-			return 1 / (lambda * float64(r))
-		}, nil
+		return nil
 	default:
-		return nil, fmt.Errorf("routing: unknown metric %d", int(metric))
+		return fmt.Errorf("routing: unknown metric %d", int(metric))
 	}
 }
 
-// FindPath routes src to dst under the given metric.
-func FindPath(net *topology.Network, m conflict.Model, metric Metric, nodeIdle []float64, src, dst topology.NodeID) (topology.Path, error) {
-	w, err := Weight(m, metric, nodeIdle)
-	if err != nil {
+// linkWeight is the one formula behind Weight, FindPath and LinkWeights:
+// the additive cost of link id (tx -> rx) under a metric checkMetric
+// accepted.
+func linkWeight(m conflict.Model, metric Metric, nodeIdle []float64, id topology.LinkID, tx, rx topology.NodeID) float64 {
+	if metric == MetricHopCount {
+		return 1
+	}
+	r := conflict.AloneMaxRate(m, id)
+	if r <= 0 {
+		return math.Inf(1)
+	}
+	if metric == MetricE2ETD {
+		return 1 / float64(r)
+	}
+	if int(tx) >= len(nodeIdle) || int(rx) >= len(nodeIdle) {
+		return math.Inf(1)
+	}
+	lambda := math.Min(nodeIdle[tx], nodeIdle[rx])
+	if lambda <= 0 {
+		return math.Inf(1)
+	}
+	return 1 / (lambda * float64(r))
+}
+
+// LinkWeights evaluates a metric's weight on every link of net, indexed
+// by link ID: the vector FindPathWeights routes over. A caller routing
+// many pairs against one set of idle ratios computes it once.
+func LinkWeights(net *topology.Network, m conflict.Model, metric Metric, nodeIdle []float64) ([]float64, error) {
+	if err := checkMetric(metric, nodeIdle); err != nil {
 		return nil, err
 	}
-	path, _, err := graph.ShortestPath(net, src, dst, w)
+	adj := net.Adjacency()
+	w := make([]float64, adj.NumLinks())
+	for id := range w {
+		l := topology.LinkID(id)
+		w[id] = linkWeight(m, metric, nodeIdle, l, adj.Tx(l), adj.Rx(l))
+	}
+	return w, nil
+}
+
+// FindPath routes src to dst under the given metric, evaluating each
+// link's weight as the search reaches it.
+func FindPath(net *topology.Network, m conflict.Model, metric Metric, nodeIdle []float64, src, dst topology.NodeID) (topology.Path, error) {
+	if err := checkMetric(metric, nodeIdle); err != nil {
+		return nil, err
+	}
+	adj := net.Adjacency()
+	return route(net, metric, src, dst, func(l topology.LinkID) float64 {
+		return linkWeight(m, metric, nodeIdle, l, adj.Tx(l), adj.Rx(l))
+	})
+}
+
+// FindPathWeights is FindPath over weights LinkWeights computed for the
+// same metric: the same route, without re-evaluating the metric.
+func FindPathWeights(net *topology.Network, metric Metric, weights []float64, src, dst topology.NodeID) (topology.Path, error) {
+	if len(weights) != net.NumLinks() {
+		return nil, fmt.Errorf("routing: %d link weights for %d links", len(weights), net.NumLinks())
+	}
+	return route(net, metric, src, dst, func(l topology.LinkID) float64 { return weights[l] })
+}
+
+func route(net *topology.Network, metric Metric, src, dst topology.NodeID, w graph.IDWeight) (topology.Path, error) {
+	path, _, err := graph.ShortestPathByID(net, src, dst, w)
 	if err != nil {
 		return nil, fmt.Errorf("routing: %v from %d to %d: %w", metric, src, dst, err)
 	}

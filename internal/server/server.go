@@ -135,7 +135,8 @@ func (s *Server) snapshot() (*snapshot, bool) {
 // bgView is the background view of one flow-set generation: the live
 // flows in id order and, filled on first use, the minimal-airtime
 // schedule delivering them (Eq. 2/4) with the per-node idle ratios it
-// induces (Sec. 4). Both depend only on the flow set, never on the
+// induces (Sec. 4) and the average-e2eD link weights (Eq. 14) those
+// ratios give. All depend only on the flow set, never on the
 // queried path, so every request between two writes shares one fill.
 // Nothing in a view is mutated after it is published: flows and
 // background are fixed at construction and the fill is stored once.
@@ -149,6 +150,10 @@ type bgView struct {
 type bgDerived struct {
 	sched schedule.Schedule
 	idle  []float64
+	// weights is the default metric's (average-e2eD) weight of every
+	// link under idle, indexed by link ID, so a default-metric route
+	// costs one search and no weight evaluation.
+	weights []float64
 }
 
 // viewLocked returns the current background view, building it from the
@@ -672,7 +677,7 @@ func (s *Server) resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int,
 	if src == nil || dst == nil {
 		return nil, fmt.Errorf("need either path or src+dst")
 	}
-	metric := routing.MetricAvgE2ED
+	metric := defaultMetric
 	if metricName != "" {
 		found := false
 		for _, m := range routing.AllMetrics() {
@@ -692,13 +697,21 @@ func (s *Server) resolvePath(ctx context.Context, snap *snapshot, nodeIDs []int,
 	}
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageRoute)
 	defer tm.End()
+	if metric == defaultMetric {
+		return routing.FindPathWeights(snap.net, metric, bg.weights, topology.NodeID(*src), topology.NodeID(*dst))
+	}
 	return routing.FindPath(snap.net, snap.model, metric, bg.idle, topology.NodeID(*src), topology.NodeID(*dst))
 }
 
-// background returns the snapshot view's schedule and idle ratios,
-// filling them on the view's first use: through the session's
-// signature memo when one is active (a flow set seen before costs a
-// memo lookup), else with one feasibility solve. The schedule stage
+// defaultMetric routes requests that name no metric; each background
+// view carries its link weights.
+const defaultMetric = routing.MetricAvgE2ED
+
+// background returns the snapshot view's schedule, idle ratios and
+// default-metric link weights, filling them on the view's first use:
+// through the session's signature memo when one is active (a flow set
+// seen before costs a memo lookup), else with one feasibility solve,
+// then one weight per link from the idle ratios. The schedule stage
 // records the view's outcome, hit or miss. A fill that fails or is
 // cancelled stores nothing. Concurrent first fills may both compute;
 // the first store wins, which is safe because the fill is
@@ -722,6 +735,9 @@ func (s *Server) background(ctx context.Context, snap *snapshot) (*bgDerived, er
 		bg.sched, bg.idle, err = routing.BackgroundContext(ctx, snap.net, snap.model, snap.view.background, snap.opts)
 	}
 	if err != nil {
+		return nil, err
+	}
+	if bg.weights, err = routing.LinkWeights(snap.net, snap.model, defaultMetric, bg.idle); err != nil {
 		return nil, err
 	}
 	if !snap.view.derived.CompareAndSwap(nil, bg) {

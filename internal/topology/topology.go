@@ -55,9 +55,60 @@ type Network struct {
 	profile    *radio.Profile
 	nodes      []Node
 	links      []Link
-	out        [][]LinkID
+	adj        Adjacency
 	in         [][]LinkID
 	linkByPair map[[2]NodeID]LinkID
+}
+
+// Adjacency is a network's out-link graph in compressed sparse row
+// form, built once with the network: node u's out-links are one
+// contiguous range of a shared slice, in OutLinks order, and every
+// link's endpoints sit in flat per-link arrays. Route searches walk it
+// without copying an out-link list or resolving a Link per edge. It is
+// read-only and shared by everyone holding the network.
+type Adjacency struct {
+	start  []int    // node u's out-links are out[start[u]:start[u+1]]
+	out    []LinkID // link IDs grouped by transmitter
+	tx, rx []NodeID // endpoints by LinkID
+}
+
+// NumNodes returns the number of nodes.
+func (a *Adjacency) NumNodes() int { return len(a.start) - 1 }
+
+// NumLinks returns the number of directed links.
+func (a *Adjacency) NumLinks() int { return len(a.tx) }
+
+// Out returns the links transmitted by node u. The slice is shared and
+// must not be modified; u must be a node of the network.
+func (a *Adjacency) Out(u NodeID) []LinkID { return a.out[a.start[u]:a.start[u+1]] }
+
+// Tx returns link l's transmitter; l must be a link of the network.
+func (a *Adjacency) Tx(l LinkID) NodeID { return a.tx[l] }
+
+// Rx returns link l's receiver; l must be a link of the network.
+func (a *Adjacency) Rx(l LinkID) NodeID { return a.rx[l] }
+
+// buildAdjacency lays out the CSR form of the network's links. Links
+// are grouped by transmitter in ID order, which is the order New
+// creates them in and the order OutLinks has always reported.
+func (n *Network) buildAdjacency() {
+	a := &n.adj
+	a.start = make([]int, len(n.nodes)+1)
+	a.out = make([]LinkID, len(n.links))
+	a.tx = make([]NodeID, len(n.links))
+	a.rx = make([]NodeID, len(n.links))
+	for _, l := range n.links {
+		a.start[l.Tx+1]++
+		a.tx[l.ID], a.rx[l.ID] = l.Tx, l.Rx
+	}
+	for u := 1; u < len(a.start); u++ {
+		a.start[u] += a.start[u-1]
+	}
+	next := append([]int(nil), a.start[:len(n.nodes)]...)
+	for _, l := range n.links {
+		a.out[next[l.Tx]] = l.ID
+		next[l.Tx]++
+	}
 }
 
 // New builds a network from node positions using the given radio
@@ -73,7 +124,6 @@ func New(profile *radio.Profile, positions []geom.Point) (*Network, error) {
 	n := &Network{
 		profile:    profile,
 		nodes:      make([]Node, 0, len(positions)),
-		out:        make([][]LinkID, len(positions)),
 		in:         make([][]LinkID, len(positions)),
 		linkByPair: make(map[[2]NodeID]LinkID),
 	}
@@ -98,11 +148,11 @@ func New(profile *radio.Profile, positions []geom.Point) (*Network, error) {
 				Dist:    d,
 				MaxRate: rate,
 			})
-			n.out[i] = append(n.out[i], id)
 			n.in[j] = append(n.in[j], id)
 			n.linkByPair[[2]NodeID{NodeID(i), NodeID(j)}] = id
 		}
 	}
+	n.buildAdjacency()
 	return n, nil
 }
 
@@ -168,14 +218,17 @@ func (n *Network) LinkBetween(a, b NodeID) (LinkID, bool) {
 	return id, ok
 }
 
+// Adjacency returns the network's shared CSR out-link graph.
+func (n *Network) Adjacency() *Adjacency { return &n.adj }
+
 // OutLinks returns the links transmitted by node id. The returned slice
 // is a copy.
 func (n *Network) OutLinks(id NodeID) []LinkID {
-	if id < 0 || int(id) >= len(n.out) {
+	if id < 0 || int(id) >= len(n.nodes) {
 		return nil
 	}
-	out := make([]LinkID, len(n.out[id]))
-	copy(out, n.out[id])
+	out := make([]LinkID, len(n.adj.Out(id)))
+	copy(out, n.adj.Out(id))
 	return out
 }
 

@@ -236,3 +236,36 @@ func TestNodeLinkAccessors(t *testing.T) {
 	}()
 	net.MustLink(LinkID(999))
 }
+
+// TestAdjacencyMatchesLinks: the CSR view lists each node's out-links
+// exactly as OutLinks does, gives every link its own endpoints, and is
+// one shared value per network.
+func TestAdjacencyMatchesLinks(t *testing.T) {
+	net, err := Random(testProfile(), geom.Rect{W: 400, H: 400}, 15, 7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	adj := net.Adjacency()
+	if adj != net.Adjacency() {
+		t.Error("Adjacency is rebuilt per call")
+	}
+	if adj.NumNodes() != net.NumNodes() || adj.NumLinks() != net.NumLinks() {
+		t.Fatalf("adjacency has %d nodes, %d links; network %d, %d", adj.NumNodes(), adj.NumLinks(), net.NumNodes(), net.NumLinks())
+	}
+	for u := NodeID(0); int(u) < net.NumNodes(); u++ {
+		out, want := adj.Out(u), net.OutLinks(u)
+		if len(out) != len(want) {
+			t.Fatalf("node %d: %d out-links, OutLinks has %d", u, len(out), len(want))
+		}
+		for i := range out {
+			if out[i] != want[i] {
+				t.Fatalf("node %d: out-link %d is %d, OutLinks has %d", u, i, out[i], want[i])
+			}
+		}
+	}
+	for _, l := range net.Links() {
+		if adj.Tx(l.ID) != l.Tx || adj.Rx(l.ID) != l.Rx {
+			t.Errorf("link %d: adjacency %d->%d, link %d->%d", l.ID, adj.Tx(l.ID), adj.Rx(l.ID), l.Tx, l.Rx)
+		}
+	}
+}
