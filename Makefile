@@ -124,5 +124,7 @@ cover-gate: cover
 		exit 1; \
 	fi
 
-# The gate run in CI: vet + lint + build + race tests + benchmark smoke.
-check: vet lint build race bench-smoke
+# The local gate: vet + lint + build + race tests + benchmark smoke,
+# plus the nested benchmark module, which compiles against internal
+# packages and so breaks when their API does (CI runs the same steps).
+check: vet lint build race bench-smoke abwperf-check

@@ -348,7 +348,7 @@ func (s *System) PathCapacity(path Path) (*Result, error) {
 
 // UpperBound computes the rate-coupled clique upper bound of Eq. 9.
 func (s *System) UpperBound(background []Flow, path Path) (float64, error) {
-	res, err := core.UpperBoundLP(s.model, background, path, s.coreOptions())
+	res, err := core.UpperBoundLPContext(context.Background(), s.model, background, path, s.coreOptions())
 	if err != nil {
 		return 0, err
 	}
@@ -362,7 +362,7 @@ func (s *System) UpperBound(background []Flow, path Path) (float64, error) {
 // background flows induce the carrier-sensed idleness average-e2eD
 // needs; pass nil for an idle network.
 func (s *System) Route(metric RouteMetric, src, dst NodeID, background []Flow) (Path, error) {
-	idle, err := routing.BackgroundIdleness(s.net, s.model, background, s.coreOptions())
+	idle, err := routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -399,7 +399,7 @@ func (s *System) AdmitContext(ctx context.Context, metric RouteMetric, requests 
 // global topology knowledge; the returned stats report the protocol
 // cost.
 func (s *System) DistributedRoute(metric RouteMetric, src, dst NodeID, background []Flow) (Path, DVStats, error) {
-	idle, err := routing.BackgroundIdleness(s.net, s.model, background, s.coreOptions())
+	idle, err := routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
 	if err != nil {
 		return nil, DVStats{}, err
 	}
@@ -436,7 +436,7 @@ type DVStats struct {
 // reaching it with the given estimator from carrier-sensed idleness.
 // It returns the path and its estimate.
 func (s *System) RouteByEstimate(metric EstimateMetric, src, dst NodeID, background []Flow) (Path, float64, error) {
-	idle, err := routing.BackgroundIdleness(s.net, s.model, background, s.coreOptions())
+	idle, err := routing.BackgroundIdlenessContext(context.Background(), s.net, s.model, background, s.coreOptions())
 	if err != nil {
 		return nil, 0, err
 	}
@@ -451,7 +451,7 @@ func (s *System) RouteByEstimate(metric EstimateMetric, src, dst NodeID, backgro
 // bandwidth against the background, using carrier-sensed idleness
 // (paper Sec. 4).
 func (s *System) Estimate(metric EstimateMetric, background []Flow, path Path) (float64, error) {
-	sched, err := routing.BackgroundSchedule(s.model, background, s.coreOptions())
+	sched, err := routing.BackgroundScheduleContext(context.Background(), s.model, background, s.coreOptions())
 	if err != nil {
 		return 0, err
 	}
@@ -469,7 +469,7 @@ type Explanation = estimate.Explanation
 // lost: the binding local clique (clique-based estimators) or the
 // binding hop (bottleneck estimator).
 func (s *System) Explain(metric EstimateMetric, background []Flow, path Path) (Explanation, error) {
-	sched, err := routing.BackgroundSchedule(s.model, background, s.coreOptions())
+	sched, err := routing.BackgroundScheduleContext(context.Background(), s.model, background, s.coreOptions())
 	if err != nil {
 		return Explanation{}, err
 	}
@@ -482,7 +482,7 @@ func (s *System) Explain(metric EstimateMetric, background []Flow, path Path) (E
 
 // EstimateAll computes all five estimators at once.
 func (s *System) EstimateAll(background []Flow, path Path) (map[EstimateMetric]float64, error) {
-	sched, err := routing.BackgroundSchedule(s.model, background, s.coreOptions())
+	sched, err := routing.BackgroundScheduleContext(context.Background(), s.model, background, s.coreOptions())
 	if err != nil {
 		return nil, err
 	}
@@ -540,7 +540,7 @@ func (s *System) FixedRateCliqueBound(path Path) (float64, error) {
 // FeasibleDemands reports whether the flows can all be delivered
 // simultaneously, returning a delivering schedule when they can.
 func (s *System) FeasibleDemands(flows []Flow) (bool, Schedule, error) {
-	return core.FeasibleDemands(s.model, flows, s.coreOptions())
+	return core.FeasibleDemandsContext(context.Background(), s.model, flows, s.coreOptions())
 }
 
 // MaxMinFair allocates end-to-end throughput max-min fairly across the
@@ -549,7 +549,7 @@ func (s *System) FeasibleDemands(flows []Flow) (bool, Schedule, error) {
 // positive; Demand 0 means uncapped). Returns per-flow allocations in
 // input order and a delivering schedule.
 func (s *System) MaxMinFair(flows []Flow) ([]float64, Schedule, error) {
-	return core.MaxMinFair(s.model, flows, s.coreOptions())
+	return core.MaxMinFairContext(context.Background(), s.model, flows, s.coreOptions())
 }
 
 // MaxDemandScale returns the largest factor theta such that every new
@@ -557,6 +557,6 @@ func (s *System) MaxMinFair(flows []Flow) ([]float64, Schedule, error) {
 // theta >= 1 means jointly admissible (the paper's multi-flow
 // extension).
 func (s *System) MaxDemandScale(background, newFlows []Flow) (float64, error) {
-	theta, _, err := core.MaxDemandScale(s.model, background, newFlows, s.coreOptions())
+	theta, _, err := core.MaxDemandScaleContext(context.Background(), s.model, background, newFlows, s.coreOptions())
 	return theta, err
 }

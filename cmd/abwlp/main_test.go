@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"path/filepath"
@@ -16,7 +17,7 @@ const spec = `{
 
 func TestRunStdinStdout(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run(nil, strings.NewReader(spec), &out, &errOut)
+	code := run(context.Background(), nil, strings.NewReader(spec), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
@@ -37,7 +38,7 @@ func TestRunFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-i", in, "-o", outPath}, strings.NewReader(""), &out, &errOut); code != 0 {
+	if code := run(context.Background(), []string{"-i", in, "-o", outPath}, strings.NewReader(""), &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	data, err := os.ReadFile(outPath)
@@ -51,18 +52,18 @@ func TestRunFiles(t *testing.T) {
 
 func TestRunErrors(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run(nil, strings.NewReader("{not json"), &out, &errOut); code != 1 {
+	if code := run(context.Background(), nil, strings.NewReader("{not json"), &out, &errOut); code != 1 {
 		t.Errorf("bad JSON exit = %d, want 1", code)
 	}
-	if code := run([]string{"-i", "/nonexistent/x.json"}, strings.NewReader(""), &out, &errOut); code != 1 {
+	if code := run(context.Background(), []string{"-i", "/nonexistent/x.json"}, strings.NewReader(""), &out, &errOut); code != 1 {
 		t.Errorf("missing input exit = %d, want 1", code)
 	}
-	if code := run([]string{"-bogus"}, strings.NewReader(""), &out, &errOut); code != 2 {
+	if code := run(context.Background(), []string{"-bogus"}, strings.NewReader(""), &out, &errOut); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
 	}
 	// Valid JSON, unsolvable query.
 	bad := `{"nodes":[{"x":0,"y":0},{"x":1000,"y":0}],"query":{"src":0,"dst":1}}`
-	if code := run(nil, strings.NewReader(bad), &out, &errOut); code != 1 {
+	if code := run(context.Background(), nil, strings.NewReader(bad), &out, &errOut); code != 1 {
 		t.Errorf("unroutable query exit = %d, want 1", code)
 	}
 }
@@ -72,7 +73,7 @@ func TestRunErrors(t *testing.T) {
 // explicitly empty -cachedir is a usage error.
 func TestCacheFlagImplications(t *testing.T) {
 	var out, errOut bytes.Buffer
-	code := run([]string{"-cachebytes", "1048576", "-cachestats"}, strings.NewReader(spec), &out, &errOut)
+	code := run(context.Background(), []string{"-cachebytes", "1048576", "-cachestats"}, strings.NewReader(spec), &out, &errOut)
 	if code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
@@ -85,7 +86,7 @@ func TestCacheFlagImplications(t *testing.T) {
 
 	out.Reset()
 	errOut.Reset()
-	if code := run([]string{"-cachedir", ""}, strings.NewReader(spec), &out, &errOut); code != 2 {
+	if code := run(context.Background(), []string{"-cachedir", ""}, strings.NewReader(spec), &out, &errOut); code != 2 {
 		t.Errorf("empty -cachedir exit = %d, want 2 (usage error)", code)
 	}
 	if !strings.Contains(errOut.String(), "cachedir") {
@@ -102,7 +103,7 @@ func TestCacheDirWarmsSecondRun(t *testing.T) {
 	stats := func() map[string]interface{} {
 		t.Helper()
 		var out, errOut bytes.Buffer
-		if code := run([]string{"-cachedir", dir}, strings.NewReader(spec), &out, &errOut); code != 0 {
+		if code := run(context.Background(), []string{"-cachedir", dir}, strings.NewReader(spec), &out, &errOut); code != 0 {
 			t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 		}
 		var ans struct {
@@ -134,10 +135,10 @@ func TestCacheDirWarmsSecondRun(t *testing.T) {
 // untraced run.
 func TestTraceFlag(t *testing.T) {
 	var plain, traced, errOut bytes.Buffer
-	if code := run(nil, strings.NewReader(spec), &plain, &errOut); code != 0 {
+	if code := run(context.Background(), nil, strings.NewReader(spec), &plain, &errOut); code != 0 {
 		t.Fatalf("plain run: exit %d, stderr: %s", code, errOut.String())
 	}
-	if code := run([]string{"-trace"}, strings.NewReader(spec), &traced, &errOut); code != 0 {
+	if code := run(context.Background(), []string{"-trace"}, strings.NewReader(spec), &traced, &errOut); code != 0 {
 		t.Fatalf("traced run: exit %d, stderr: %s", code, errOut.String())
 	}
 

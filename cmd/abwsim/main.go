@@ -10,6 +10,7 @@
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -19,10 +20,10 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
+	os.Exit(run(context.Background(), os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string, stdout, stderr io.Writer) int {
+func run(ctx context.Context, args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("abwsim", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	var (
@@ -60,7 +61,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 
 	var tables []*experiments.Table
 	if *exp != "" {
-		tbl, err := experiments.Run(*exp)
+		tbl, err := experiments.Run(ctx, *exp)
 		if err != nil {
 			fmt.Fprintln(stderr, "abwsim:", err)
 			return 1
@@ -68,7 +69,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		tables = append(tables, tbl)
 	} else {
 		var err error
-		tables, err = experiments.RunAllParallel(*par)
+		tables, err = experiments.RunAllParallel(ctx, *par)
 		if err != nil {
 			fmt.Fprintln(stderr, "abwsim:", err)
 			return 1

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"context"
 	"os"
 	"path/filepath"
 	"strings"
@@ -10,7 +11,7 @@ import (
 
 func TestRunList(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-list"}, &out, &errOut); code != 0 {
+	if code := run(context.Background(), []string{"-list"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	got := strings.Fields(out.String())
@@ -21,7 +22,7 @@ func TestRunList(t *testing.T) {
 
 func TestRunSingleExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-e", "E2"}, &out, &errOut); code != 0 {
+	if code := run(context.Background(), []string{"-e", "E2"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	if !strings.Contains(out.String(), "16.2000") {
@@ -31,7 +32,7 @@ func TestRunSingleExperiment(t *testing.T) {
 
 func TestRunUnknownExperiment(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-e", "E99"}, &out, &errOut); code == 0 {
+	if code := run(context.Background(), []string{"-e", "E99"}, &out, &errOut); code == 0 {
 		t.Error("unknown experiment should fail")
 	}
 	if !strings.Contains(errOut.String(), "unknown experiment") {
@@ -41,7 +42,7 @@ func TestRunUnknownExperiment(t *testing.T) {
 
 func TestRunBadFlag(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-bogus"}, &out, &errOut); code != 2 {
+	if code := run(context.Background(), []string{"-bogus"}, &out, &errOut); code != 2 {
 		t.Errorf("bad flag exit = %d, want 2", code)
 	}
 }
@@ -50,7 +51,7 @@ func TestRunOutputFile(t *testing.T) {
 	dir := t.TempDir()
 	path := filepath.Join(dir, "out.txt")
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-e", "E1", "-o", path}, &out, &errOut); code != 0 {
+	if code := run(context.Background(), []string{"-e", "E1", "-o", path}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	data, err := os.ReadFile(path)
@@ -61,14 +62,14 @@ func TestRunOutputFile(t *testing.T) {
 		t.Errorf("output file missing E1 numbers:\n%s", data)
 	}
 	// Unwritable output path fails cleanly.
-	if code := run([]string{"-e", "E1", "-o", filepath.Join(dir, "nope", "x.txt")}, &out, &errOut); code != 1 {
+	if code := run(context.Background(), []string{"-e", "E1", "-o", filepath.Join(dir, "nope", "x.txt")}, &out, &errOut); code != 1 {
 		t.Errorf("unwritable path exit = %d, want 1", code)
 	}
 }
 
 func TestRunMarkdown(t *testing.T) {
 	var out, errOut bytes.Buffer
-	if code := run([]string{"-e", "E1", "-md"}, &out, &errOut); code != 0 {
+	if code := run(context.Background(), []string{"-e", "E1", "-md"}, &out, &errOut); code != 0 {
 		t.Fatalf("exit %d, stderr: %s", code, errOut.String())
 	}
 	s := out.String()

@@ -75,7 +75,7 @@ func MaxCliqueLoadFactor(m conflict.Model, assignment []conflict.Couple, through
 	return maxT, nil
 }
 
-// UpperBoundLP solves the paper's Eq. 9: the rate-coupled clique upper
+// UpperBoundLPContext solves the paper's Eq. 9: the rate-coupled clique upper
 // bound on the available bandwidth of newPath given background flows.
 // Every rate vector R_i over the link universe is assigned a time share
 // gamma_i and, within it, per-link throughputs g_ik constrained by R_i's
@@ -90,18 +90,13 @@ func MaxCliqueLoadFactor(m conflict.Model, assignment []conflict.Couple, through
 //
 // The number of rate vectors is capped by Options.OmegaLimit; the paper
 // itself notes Omega <= Z^L and defers sparser enumerations to future
-// work (see RestrictedUpperBoundLP for that heuristic).
-func UpperBoundLP(m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
-	return upperBoundOverVectors(context.Background(), m, background, newPath, nil, opts)
-}
-
-// UpperBoundLPContext is UpperBoundLP under a context: the Eq. 9
-// simplex polls ctx between pivots; see AvailableBandwidthContext.
+// work (see RestrictedUpperBoundLPContext for that heuristic). The
+// Eq. 9 simplex polls ctx between pivots; see AvailableBandwidthContext.
 func UpperBoundLPContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
 	return upperBoundOverVectors(ctx, m, background, newPath, nil, opts)
 }
 
-// RestrictedUpperBoundLP is the paper's proposed future-work heuristic:
+// RestrictedUpperBoundLPContext is the paper's proposed future-work heuristic:
 // Eq. 9 evaluated over an explicit subset of rate vectors rather than
 // the full product space. The result is the exact Eq. 9 bound for
 // schedules restricted to those vectors; it remains a GLOBAL upper
@@ -109,13 +104,7 @@ func UpperBoundLPContext(ctx context.Context, m conflict.Model, background []Flo
 // schedule uses (Scenario II's {R1, R2}, for instance). An arbitrary
 // subset may cut below the unrestricted optimum — see the package tests
 // for a demonstration. Vectors are given as one couple per link of the
-// universe.
-func RestrictedUpperBoundLP(m conflict.Model, background []Flow, newPath topology.Path, vectors [][]conflict.Couple, opts Options) (*Result, error) {
-	return RestrictedUpperBoundLPContext(context.Background(), m, background, newPath, vectors, opts)
-}
-
-// RestrictedUpperBoundLPContext is RestrictedUpperBoundLP under a
-// context: the Eq. 9 simplex polls ctx between pivots; see
+// universe. The Eq. 9 simplex polls ctx between pivots; see
 // AvailableBandwidthContext.
 func RestrictedUpperBoundLPContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, vectors [][]conflict.Couple, opts Options) (*Result, error) {
 	if len(vectors) == 0 {
@@ -128,20 +117,14 @@ func upperBoundOverVectors(ctx context.Context, m conflict.Model, background []F
 	if len(newPath) == 0 {
 		return nil, fmt.Errorf("core: empty new path")
 	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse(newPath, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 	demand := linkDemand(background)
 	newCount := linkCount(newPath)
 
 	if vectors == nil {
-		var err error
 		vectors, err = enumerateRateVectors(m, universe, opts.omegaLimit())
 		if err != nil {
 			return nil, err
@@ -233,7 +216,7 @@ func enumerateRateVectors(m conflict.Model, universe []topology.LinkID, limit in
 		}
 		size *= len(ratesPer[i])
 		if size > limit {
-			return nil, fmt.Errorf("core: rate-vector space exceeds limit %d (paper: Omega <= Z^L); use RestrictedUpperBoundLP", limit)
+			return nil, fmt.Errorf("core: rate-vector space exceeds limit %d (paper: Omega <= Z^L); use RestrictedUpperBoundLPContext", limit)
 		}
 	}
 	var out [][]conflict.Couple
@@ -257,7 +240,7 @@ func enumerateRateVectors(m conflict.Model, universe []topology.LinkID, limit in
 
 // PathCapacity returns the exact capacity of a path with no background
 // traffic — the special case the authors' earlier work [1] addressed,
-// included as a baseline.
-func PathCapacity(m conflict.Model, path topology.Path, opts Options) (*Result, error) {
-	return AvailableBandwidth(m, nil, path, opts)
+// included as a baseline. See AvailableBandwidthContext for ctx.
+func PathCapacity(ctx context.Context, m conflict.Model, path topology.Path, opts Options) (*Result, error) {
+	return AvailableBandwidthContext(ctx, m, nil, path, opts)
 }

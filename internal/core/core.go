@@ -103,109 +103,75 @@ type Result struct {
 	Links []topology.LinkID
 }
 
-// AvailableBandwidth solves the paper's exact model (Eq. 6): the maximum
-// throughput deliverable over newPath while every background flow keeps
-// its demand, assuming globally optimal link scheduling. It enumerates
-// the maximal independent sets of the union of all involved paths.
-func AvailableBandwidth(m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
-	return AvailableBandwidthContext(context.Background(), m, background, newPath, opts)
-}
-
-// AvailableBandwidthContext is AvailableBandwidth under a context: both
-// the set enumeration and the Eq. 6 simplex poll ctx and abandon the
-// computation with an error satisfying errors.Is(err,
-// cancel.ErrCanceled) once it is cancelled. An uncancelled call returns
-// exactly what AvailableBandwidth would.
+// AvailableBandwidthContext solves the paper's exact model (Eq. 6): the
+// maximum throughput deliverable over newPath while every background
+// flow keeps its demand, assuming globally optimal link scheduling. It
+// enumerates the maximal independent sets of the union of all involved
+// paths. Both the set enumeration and the Eq. 6 simplex poll ctx and
+// abandon the computation with an error satisfying errors.Is(err,
+// cancel.ErrCanceled) once it is cancelled; an uncancellable ctx
+// (context.Background()) costs nothing.
 func AvailableBandwidthContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, error) {
 	if len(newPath) == 0 {
 		return nil, fmt.Errorf("core: empty new path")
 	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse(newPath, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
-
 	sets, err := opts.enumerate(ctx, m, universe)
 	if err != nil {
 		return nil, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	return solveWithSetsCounted(ctx, m, background, newPath, universe, sets, opts.Cache)
+	return solveWithSets(ctx, background, newPath, universe, sets, opts.Cache)
 }
 
-// AvailableBandwidthLowerBound is AvailableBandwidth with graceful
-// degradation for large instances: when independent-set enumeration
-// exceeds the limit, the LP runs over the truncated (still sound) set
-// family and the result is a LOWER bound on the true availability
-// (Sec. 3.3); Truncated reports when that happened.
-func AvailableBandwidthLowerBound(m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, bool, error) {
-	return AvailableBandwidthLowerBoundContext(context.Background(), m, background, newPath, opts)
-}
-
-// AvailableBandwidthLowerBoundContext is AvailableBandwidthLowerBound
-// under a context; see AvailableBandwidthContext. Cancellation wins
-// over truncation: a cancelled call returns ErrCanceled and no bound.
+// AvailableBandwidthLowerBoundContext is AvailableBandwidthContext with
+// graceful degradation for large instances: when independent-set
+// enumeration exceeds the limit, the LP runs over the truncated (still
+// sound) set family and the result is a LOWER bound on the true
+// availability (Sec. 3.3); Truncated reports when that happened.
+// Cancellation wins over truncation: a cancelled call returns
+// ErrCanceled and no bound.
 func AvailableBandwidthLowerBoundContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, opts Options) (*Result, bool, error) {
 	if len(newPath) == 0 {
 		return nil, false, fmt.Errorf("core: empty new path")
 	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse(newPath, background)
+	if err != nil {
 		return nil, false, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 	sets, truncated, err := opts.enumeratePartial(ctx, m, universe)
 	if err != nil {
 		return nil, false, fmt.Errorf("core: enumerating independent sets: %w", err)
 	}
-	res, err := solveWithSetsCounted(ctx, m, background, newPath, universe, sets, opts.Cache)
+	res, err := solveWithSets(ctx, background, newPath, universe, sets, opts.Cache)
 	if err != nil {
 		return nil, truncated, err
 	}
 	return res, truncated, nil
 }
 
-// AvailableBandwidthWithSets solves the Eq. 6 LP restricted to the given
-// independent sets. With all maximal sets it is exact; with a subset it
-// is the lower bound of Sec. 3.3 (the restricted solution space is
-// contained in the true one).
-func AvailableBandwidthWithSets(m conflict.Model, background []Flow, newPath topology.Path, sets []indepset.Set) (*Result, error) {
-	return AvailableBandwidthWithSetsContext(context.Background(), m, background, newPath, sets)
-}
-
-// AvailableBandwidthWithSetsContext is AvailableBandwidthWithSets under
-// a context; see AvailableBandwidthContext.
+// AvailableBandwidthWithSetsContext solves the Eq. 6 LP restricted to
+// the given independent sets. With all maximal sets it is exact; with a
+// subset it is the lower bound of Sec. 3.3 (the restricted solution
+// space is contained in the true one). See AvailableBandwidthContext
+// for ctx.
 func AvailableBandwidthWithSetsContext(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, sets []indepset.Set) (*Result, error) {
 	if len(newPath) == 0 {
 		return nil, fmt.Errorf("core: empty new path")
 	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse(newPath, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
-	return solveWithSets(ctx, m, background, newPath, universe, sets)
+	return solveWithSets(ctx, background, newPath, universe, sets, nil)
 }
 
-func solveWithSets(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, universe []topology.LinkID, sets []indepset.Set) (*Result, error) {
-	return solveWithSetsCounted(ctx, m, background, newPath, universe, sets, nil)
-}
-
-// solveWithSetsCounted is solveWithSets reporting the solve's pivot
-// count into the (possibly nil) cache's cold-solve counters.
-func solveWithSetsCounted(ctx context.Context, m conflict.Model, background []Flow, newPath topology.Path, universe []topology.LinkID, sets []indepset.Set, cache *memo.Cache) (*Result, error) {
+// solveWithSets solves the Eq. 6 LP over the given family, reporting
+// the solve's pivot count into the (possibly nil) cache's cold-solve
+// counters.
+func solveWithSets(ctx context.Context, background []Flow, newPath topology.Path, universe []topology.LinkID, sets []indepset.Set, cache *memo.Cache) (*Result, error) {
 	demand := linkDemand(background)
 	newCount := linkCount(newPath)
 
@@ -215,14 +181,8 @@ func solveWithSetsCounted(ctx context.Context, m conflict.Model, background []Fl
 	f := prob.AddVar("f", 1)
 
 	// Total share within one period.
-	shareRow := make(map[lp.Var]float64, len(lambdas))
-	for _, v := range lambdas {
-		shareRow[v] = 1
-	}
-	if len(shareRow) > 0 {
-		if err := prob.AddOwnedConstraint("total-share", shareRow, lp.LE, 1); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	if err := addShareRow(prob, lambdas); err != nil {
+		return nil, err
 	}
 
 	// Per-link throughput covers background demand plus f on the new
@@ -251,38 +211,24 @@ func solveWithSetsCounted(ctx context.Context, m conflict.Model, background []Fl
 		return res, nil
 	}
 	res.Bandwidth = sol.Objective
-	var sched schedule.Schedule
-	for i, s := range sets {
-		if share := sol.Value(lambdas[i]); share > 1e-12 {
-			sched.Slots = append(sched.Slots, schedule.Slot{Set: s, Share: share})
-		}
-	}
+	sched := shareSchedule(sol, sets, lambdas)
 	res.Schedule = sched.Normalized()
 	return res, nil
 }
 
-// FeasibleDemands reports whether the given flows can all be delivered
-// simultaneously (the feasibility side of Eq. 2/4), and returns a
-// delivering schedule when they can.
-func FeasibleDemands(m conflict.Model, flows []Flow, opts Options) (bool, schedule.Schedule, error) {
-	return FeasibleDemandsContext(context.Background(), m, flows, opts)
-}
-
-// FeasibleDemandsContext is FeasibleDemands under a context; see
-// AvailableBandwidthContext. A cancelled call returns no verdict:
-// callers must not treat ErrCanceled as "infeasible".
+// FeasibleDemandsContext reports whether the given flows can all be
+// delivered simultaneously (the feasibility side of Eq. 2/4), and
+// returns a delivering schedule when they can. See
+// AvailableBandwidthContext for ctx. A cancelled call returns no
+// verdict: callers must not treat ErrCanceled as "infeasible".
 func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow, opts Options) (bool, schedule.Schedule, error) {
-	if err := validateFlows(flows); err != nil {
-		return false, schedule.Schedule{}, err
-	}
 	if len(flows) == 0 {
 		return true, schedule.Schedule{}, nil
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
+		return false, schedule.Schedule{}, err
 	}
-	universe := topology.LinkUnion(paths...)
 	sets, err := opts.enumerate(ctx, m, universe)
 	if err != nil {
 		return false, schedule.Schedule{}, fmt.Errorf("core: enumerating independent sets: %w", err)
@@ -296,14 +242,8 @@ func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow,
 	prob := lp.NewProblem(lp.Maximize)
 	prob.Reserve(len(sets), len(universe)+1)
 	lambdas := addLambdaVars(prob, sets, -1)
-	shareRow := make(map[lp.Var]float64, len(sets))
-	for _, v := range lambdas {
-		shareRow[v] = 1
-	}
-	if len(shareRow) > 0 {
-		if err := prob.AddOwnedConstraint("total-share", shareRow, lp.LE, 1); err != nil {
-			return false, schedule.Schedule{}, fmt.Errorf("core: %w", err)
-		}
+	if err := addShareRow(prob, lambdas); err != nil {
+		return false, schedule.Schedule{}, err
 	}
 	rows := lambdaRows(universe, sets, lambdas)
 	for li, link := range universe {
@@ -326,34 +266,22 @@ func FeasibleDemandsContext(ctx context.Context, m conflict.Model, flows []Flow,
 	if sol.Status != lp.Optimal {
 		return false, schedule.Schedule{}, nil
 	}
-	var sched schedule.Schedule
-	for i, s := range sets {
-		if share := sol.Value(lambdas[i]); share > 1e-12 {
-			sched.Slots = append(sched.Slots, schedule.Slot{Set: s, Share: share})
-		}
-	}
+	sched := shareSchedule(sol, sets, lambdas)
 	return true, sched.Normalized(), nil
 }
 
-// MaxDemandScale returns the largest theta such that every new flow j
-// can be delivered at theta times its demand alongside the background
-// (the paper's multi-flow extension of Sec. 2.5). theta >= 1 means the
-// new flows are jointly admissible. The second return is the delivering
-// schedule at the optimum.
-func MaxDemandScale(m conflict.Model, background, newFlows []Flow, opts Options) (float64, schedule.Schedule, error) {
-	return MaxDemandScaleContext(context.Background(), m, background, newFlows, opts)
-}
-
-// MaxDemandScaleContext is MaxDemandScale under a context; see
-// AvailableBandwidthContext.
+// MaxDemandScaleContext returns the largest theta such that every new
+// flow j can be delivered at theta times its demand alongside the
+// background (the paper's multi-flow extension of Sec. 2.5). theta >= 1
+// means the new flows are jointly admissible. The second return is the
+// delivering schedule at the optimum. See AvailableBandwidthContext for
+// ctx.
 func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, newFlows []Flow, opts Options) (float64, schedule.Schedule, error) {
 	if len(newFlows) == 0 {
 		return 0, schedule.Schedule{}, fmt.Errorf("core: no new flows")
 	}
-	if err := validateFlows(background); err != nil {
-		return 0, schedule.Schedule{}, err
-	}
-	if err := validateFlows(newFlows); err != nil {
+	universe, err := flowUniverse(nil, background, newFlows)
+	if err != nil {
 		return 0, schedule.Schedule{}, err
 	}
 	for _, f := range newFlows {
@@ -361,14 +289,6 @@ func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, ne
 			return 0, schedule.Schedule{}, fmt.Errorf("core: new flow demand must be positive, got %g", f.Demand)
 		}
 	}
-	paths := make([]topology.Path, 0, len(background)+len(newFlows))
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	for _, f := range newFlows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
 	sets, err := opts.enumerate(ctx, m, universe)
 	if err != nil {
 		return 0, schedule.Schedule{}, fmt.Errorf("core: enumerating independent sets: %w", err)
@@ -387,15 +307,9 @@ func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, ne
 	prob := lp.NewProblem(lp.Maximize)
 	prob.Reserve(len(sets)+1, len(universe)+1)
 	lambdas := addLambdaVars(prob, sets, 0)
-	shareRow := make(map[lp.Var]float64, len(sets))
-	for _, v := range lambdas {
-		shareRow[v] = 1
-	}
 	theta := prob.AddVar("theta", 1)
-	if len(shareRow) > 0 {
-		if err := prob.AddOwnedConstraint("total-share", shareRow, lp.LE, 1); err != nil {
-			return 0, schedule.Schedule{}, fmt.Errorf("core: %w", err)
-		}
+	if err := addShareRow(prob, lambdas); err != nil {
+		return 0, schedule.Schedule{}, err
 	}
 	rows := lambdaRows(universe, sets, lambdas)
 	for li, link := range universe {
@@ -418,13 +332,44 @@ func MaxDemandScaleContext(ctx context.Context, m conflict.Model, background, ne
 	if sol.Status != lp.Optimal {
 		return 0, schedule.Schedule{}, nil
 	}
+	sched := shareSchedule(sol, sets, lambdas)
+	return sol.Objective, sched.Normalized(), nil
+}
+
+// flowUniverse is the prologue every entry shares: it validates each
+// flow group in order (flow indices in errors count within the group)
+// and returns the link universe P, the union of every flow's path and
+// newPath (which may be nil).
+func flowUniverse(newPath topology.Path, groups ...[]Flow) ([]topology.LinkID, error) {
+	n := 1
+	for _, g := range groups {
+		if err := validateFlows(g); err != nil {
+			return nil, err
+		}
+		n += len(g)
+	}
+	paths := make([]topology.Path, 0, n)
+	for _, g := range groups {
+		for _, f := range g {
+			paths = append(paths, f.Path)
+		}
+	}
+	if len(newPath) > 0 {
+		paths = append(paths, newPath)
+	}
+	return topology.LinkUnion(paths...), nil
+}
+
+// shareSchedule reads the schedule off an optimal Eq. 6-shaped solution:
+// one slot per set whose time share exceeds 1e-12, in family order.
+func shareSchedule(sol *lp.Solution, sets []indepset.Set, lambdas []lp.Var) schedule.Schedule {
 	var sched schedule.Schedule
 	for i, s := range sets {
 		if share := sol.Value(lambdas[i]); share > 1e-12 {
 			sched.Slots = append(sched.Slots, schedule.Slot{Set: s, Share: share})
 		}
 	}
-	return sol.Objective, sched.Normalized(), nil
+	return sched
 }
 
 // addLambdaVars declares one time-share variable per independent set
@@ -438,6 +383,22 @@ func addLambdaVars(prob *lp.Problem, sets []indepset.Set, objCoef float64) []lp.
 		lambdas[i] = prob.AddVar("", objCoef)
 	}
 	return lambdas
+}
+
+// addShareRow adds the Eq. 6 total-share row, the lambdas' time shares
+// summing to at most one period; an empty family adds no row.
+func addShareRow(prob *lp.Problem, lambdas []lp.Var) error {
+	if len(lambdas) == 0 {
+		return nil
+	}
+	row := make(map[lp.Var]float64, len(lambdas))
+	for _, v := range lambdas {
+		row[v] = 1
+	}
+	if err := prob.AddOwnedConstraint("total-share", row, lp.LE, 1); err != nil {
+		return fmt.Errorf("core: %w", err)
+	}
+	return nil
 }
 
 // lambdaRows builds, for every universe link (result aligned with

@@ -43,7 +43,7 @@ import (
 // changes an answer beyond the warm-vs-cold tolerance above.
 //
 // Answers are exact: the warm-started optimum matches a cold
-// AvailableBandwidth solve within pivot-tolerance arithmetic noise
+// AvailableBandwidthContext solve within pivot-tolerance arithmetic noise
 // (the session property tests pin this), and set families and
 // feasibility schedules are byte-identical to the cold path's.
 //
@@ -141,7 +141,7 @@ func (st *availState) bytes(key string) int64 {
 	return n
 }
 
-// bgResult memoizes one background flow set: its FeasibleDemands
+// bgResult memoizes one background flow set: its FeasibleDemandsContext
 // verdict and schedule and, once BackgroundContext has asked, the node
 // idle ratios the schedule induces. Stored values are never mutated; a
 // fill replaces the entry.
@@ -162,32 +162,21 @@ func (r bgResult) bytes(key string) int64 {
 	return n
 }
 
-// AvailableBandwidth is the session-accelerated equivalent of the
-// package-level AvailableBandwidth: same inputs, same answer, but
-// repeated queries for the same universe and candidate path re-solve
-// warm instead of from scratch.
-func (s *Session) AvailableBandwidth(background []Flow, newPath topology.Path) (*Result, error) {
-	return s.AvailableBandwidthContext(context.Background(), background, newPath)
-}
-
-// AvailableBandwidthContext is AvailableBandwidth under a context:
-// enumeration and the (warm or cold) simplex poll ctx. A cancelled
-// resolve discards the retained tableau, so the next query for the
+// AvailableBandwidthContext is the session-accelerated equivalent of
+// the package-level AvailableBandwidthContext: same inputs, same answer,
+// but repeated queries for the same universe and candidate path
+// re-solve warm instead of from scratch. Enumeration and the (warm or
+// cold) simplex poll ctx. A cancelled resolve discards the retained tableau, so the next query for the
 // same pair simply re-solves cold — cancellation never corrupts the
 // session's memoized state.
 func (s *Session) AvailableBandwidthContext(ctx context.Context, background []Flow, newPath topology.Path) (*Result, error) {
 	if len(newPath) == 0 {
 		return nil, fmt.Errorf("core: empty new path")
 	}
-	if err := validateFlows(background); err != nil {
+	universe, err := flowUniverse(newPath, background)
+	if err != nil {
 		return nil, err
 	}
-	paths := make([]topology.Path, 0, len(background)+1)
-	for _, f := range background {
-		paths = append(paths, f.Path)
-	}
-	paths = append(paths, newPath)
-	universe := topology.LinkUnion(paths...)
 
 	// Enumeration (and its cache) run unlocked; the family is
 	// deterministic, so a race between two builders of the same state
@@ -225,14 +214,8 @@ func newAvailState(universe []topology.LinkID, newPath topology.Path, sets []ind
 	lambdas := addLambdaVars(prob, sets, 0)
 	f := prob.AddVar("f", 1)
 
-	shareRow := make(map[lp.Var]float64, len(lambdas))
-	for _, v := range lambdas {
-		shareRow[v] = 1
-	}
-	if len(shareRow) > 0 {
-		if err := prob.AddOwnedConstraint("total-share", shareRow, lp.LE, 1); err != nil {
-			return nil, fmt.Errorf("core: %w", err)
-		}
+	if err := addShareRow(prob, lambdas); err != nil {
+		return nil, err
 	}
 
 	newCount := linkCount(newPath)
@@ -282,38 +265,25 @@ func (st *availState) solve(ctx context.Context, cache *memo.Cache, demand map[t
 	}
 	res.Bandwidth = sol.Objective
 	// The sets are one enumerated family, so their keys are distinct,
-	// and the filter below is Normalized's: there is nothing to merge
-	// or drop, and the slots are already the normalized schedule.
-	for i, set := range st.sets {
-		if share := sol.Value(st.lambdas[i]); share > 1e-12 {
-			res.Schedule.Slots = append(res.Schedule.Slots, schedule.Slot{Set: set, Share: share})
-		}
-	}
+	// and shareSchedule's filter is Normalized's: there is nothing to
+	// merge or drop, and the slots are already the normalized schedule.
+	res.Schedule = shareSchedule(sol, st.sets, st.lambdas)
 	return res, nil
 }
 
-// FeasibleDemands is the session-memoized equivalent of the
-// package-level FeasibleDemands: identical demand signatures over the
-// same universe return the recorded verdict and schedule.
-func (s *Session) FeasibleDemands(flows []Flow) (bool, schedule.Schedule, error) {
-	return s.FeasibleDemandsContext(context.Background(), flows)
-}
-
-// FeasibleDemandsContext is FeasibleDemands under a context. A
+// FeasibleDemandsContext is the session-memoized equivalent of the
+// package-level FeasibleDemandsContext: identical demand signatures
+// over the same universe return the recorded verdict and schedule. A
 // cancelled check memoizes nothing: ErrCanceled is never recorded as a
 // verdict, so a later uncancelled repeat re-answers from scratch.
 func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (bool, schedule.Schedule, error) {
-	if err := validateFlows(flows); err != nil {
-		return false, schedule.Schedule{}, err
-	}
 	if len(flows) == 0 {
 		return true, schedule.Schedule{}, nil
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
+		return false, schedule.Schedule{}, err
 	}
-	universe := topology.LinkUnion(paths...)
 	demand := linkDemand(flows)
 	key := feasKey(universe, demand)
 
@@ -333,18 +303,14 @@ func (s *Session) FeasibleDemandsContext(ctx context.Context, flows []Flow) (boo
 	return ok, copySchedule(sched), nil
 }
 
-// IdleRatios returns the per-node carrier-sensed idle ratios induced by
-// the flows' minimal-airtime schedule (estimate.NodeIdleRatios over the
-// FeasibleDemands schedule), memoized by the same demand signature as
-// the feasibility verdict. The routing layer asks this before every
-// admission step with an unchanged background, so the repeat costs a
-// map lookup. net must be the network the session's model was built on.
-func (s *Session) IdleRatios(net *topology.Network, flows []Flow) ([]float64, error) {
-	return s.IdleRatiosContext(context.Background(), net, flows)
-}
-
-// IdleRatiosContext is IdleRatios under a context; cancelled
-// computations memoize nothing.
+// IdleRatiosContext returns the per-node carrier-sensed idle ratios
+// induced by the flows' minimal-airtime schedule
+// (estimate.NodeIdleRatios over the FeasibleDemandsContext schedule),
+// memoized by the same demand signature as the feasibility verdict.
+// The routing layer asks this before every admission step with an
+// unchanged background, so the repeat costs a map lookup. net must be
+// the network the session's model was built on; cancelled computations
+// memoize nothing.
 func (s *Session) IdleRatiosContext(ctx context.Context, net *topology.Network, flows []Flow) ([]float64, error) {
 	_, idle, err := s.background(ctx, net, flows)
 	if err != nil {
@@ -378,14 +344,10 @@ func (s *Session) background(ctx context.Context, net *topology.Network, flows [
 		}
 		return schedule.Schedule{}, idle, nil
 	}
-	if err := validateFlows(flows); err != nil {
+	universe, err := flowUniverse(nil, flows)
+	if err != nil {
 		return schedule.Schedule{}, nil, err
 	}
-	paths := make([]topology.Path, 0, len(flows))
-	for _, f := range flows {
-		paths = append(paths, f.Path)
-	}
-	universe := topology.LinkUnion(paths...)
 	key := feasKey(universe, linkDemand(flows))
 
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageSession)

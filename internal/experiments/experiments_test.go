@@ -2,11 +2,14 @@ package experiments
 
 import (
 	"bytes"
+	"context"
+	"errors"
 	"math"
 	"strconv"
 	"strings"
 	"testing"
 
+	"abw/internal/cancel"
 	"abw/internal/estimate"
 	"abw/internal/routing"
 )
@@ -14,7 +17,7 @@ import (
 // TestScenarioIPaperNumbers asserts E1 reproduces the introduction's
 // closed forms exactly.
 func TestScenarioIPaperNumbers(t *testing.T) {
-	tbl, err := ScenarioI()
+	tbl, err := ScenarioI(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +28,7 @@ func TestScenarioIPaperNumbers(t *testing.T) {
 // TestScenarioIIPaperNumbers asserts E2 reproduces Sec. 5.1 exactly:
 // 16.2 / 13.5 / 108/7 / 1.2 / 1.05.
 func TestScenarioIIPaperNumbers(t *testing.T) {
-	tbl, err := ScenarioII()
+	tbl, err := ScenarioII(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -43,7 +46,7 @@ func TestScenarioIIPaperNumbers(t *testing.T) {
 // TestFig3Ordering asserts E4's headline: hop count fails first, then
 // e2eTD, then average-e2eD (paper: flows 3, 5, 8; this seed: 3, 5, 7).
 func TestFig3Ordering(t *testing.T) {
-	fails, err := FirstFailures()
+	fails, err := FirstFailures(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,7 +64,7 @@ func TestFig3Ordering(t *testing.T) {
 // TestFig4Shape asserts the paper's Fig. 4 qualitative claims on the
 // calibrated run.
 func TestFig4Shape(t *testing.T) {
-	rows, err := Fig4Series()
+	rows, err := Fig4Series(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,14 +126,14 @@ func TestFig4Shape(t *testing.T) {
 }
 
 func TestEq9AndLowerBoundTables(t *testing.T) {
-	up, err := Eq9UpperBound()
+	up, err := Eq9UpperBound(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(up.Rows) != 4 {
 		t.Errorf("E6 rows = %d, want 4", len(up.Rows))
 	}
-	lb, err := LowerBounds()
+	lb, err := LowerBounds(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +144,7 @@ func TestEq9AndLowerBoundTables(t *testing.T) {
 }
 
 func TestAdaptationAblationTable(t *testing.T) {
-	tbl, err := AdaptationAblation()
+	tbl, err := AdaptationAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -163,14 +166,14 @@ func TestAdaptationAblationTable(t *testing.T) {
 }
 
 func TestValidationTables(t *testing.T) {
-	sv, err := SimValidation()
+	sv, err := SimValidation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(sv.Rows) != 3 {
 		t.Errorf("E9 rows = %d, want 3", len(sv.Rows))
 	}
-	ci, err := CSMAIdle()
+	ci, err := CSMAIdle(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -184,14 +187,14 @@ func TestRegistryAndRun(t *testing.T) {
 	if len(reg) != 17 {
 		t.Fatalf("registry has %d experiments, want 17", len(reg))
 	}
-	tbl, err := Run("e1")
+	tbl, err := Run(context.Background(), "e1")
 	if err != nil {
 		t.Fatal(err)
 	}
 	if tbl.ID != "E1" {
 		t.Errorf("Run(e1) returned %s", tbl.ID)
 	}
-	if _, err := Run("nope"); err == nil {
+	if _, err := Run(context.Background(), "nope"); err == nil {
 		t.Error("unknown id: expected error")
 	}
 }
@@ -226,7 +229,7 @@ func assertCell(t *testing.T, tbl *Table, row, col int, want string) {
 // conservative clique constraint never over-admits, while the bare
 // clique constraint does.
 func TestEstimatorAdmissionSafety(t *testing.T) {
-	tbl, err := EstimatorAdmission()
+	tbl, err := EstimatorAdmission(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,7 +255,7 @@ func TestEstimatorAdmissionSafety(t *testing.T) {
 // optimum on all chain workloads (within binary-search tolerance) and
 // never exceeds it.
 func TestGreedyVsOptimalEfficiency(t *testing.T) {
-	tbl, err := GreedyVsOptimal()
+	tbl, err := GreedyVsOptimal(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +282,7 @@ func TestGreedyVsOptimalEfficiency(t *testing.T) {
 
 // TestFairAllocationShapes asserts E15's workload results.
 func TestFairAllocationShapes(t *testing.T) {
-	tbl, err := FairAllocation()
+	tbl, err := FairAllocation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +312,7 @@ func TestFairAllocationShapes(t *testing.T) {
 // TestRunAllProducesEveryTable smoke-runs the complete registry — the
 // exact pipeline cmd/abwsim executes.
 func TestRunAllProducesEveryTable(t *testing.T) {
-	tables, err := RunAll()
+	tables, err := RunAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,7 +332,7 @@ func TestRunAllProducesEveryTable(t *testing.T) {
 // TestInterferenceModelAblation asserts E16: the pairwise protocol
 // model is never less optimistic than the cumulative physical model.
 func TestInterferenceModelAblation(t *testing.T) {
-	tbl, err := InterferenceModelAblation()
+	tbl, err := InterferenceModelAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -377,11 +380,11 @@ func TestTableRenderMarkdown(t *testing.T) {
 // TestRunAllParallelMatchesSequential checks the concurrent runner
 // produces byte-identical tables in the same order.
 func TestRunAllParallelMatchesSequential(t *testing.T) {
-	seq, err := RunAll()
+	seq, err := RunAll(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
-	par, err := RunAllParallel(4)
+	par, err := RunAllParallel(context.Background(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -402,10 +405,46 @@ func TestRunAllParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// TestRunAllCanceled pins that the drivers honour ctx: under an
+// already-cancelled ctx, RunAll, RunAllParallel and Run fail with
+// cancel.ErrCanceled and return no table, and they fail fast: no
+// experiment starts, so the shared family cache sees no lookup.
+func TestRunAllCanceled(t *testing.T) {
+	ctx, cancelFn := context.WithCancel(context.Background())
+	cancelFn()
+	runs := []struct {
+		name string
+		run  func() ([]*Table, error)
+	}{
+		{"RunAll", func() ([]*Table, error) { return RunAll(ctx) }},
+		{"RunAllParallel", func() ([]*Table, error) { return RunAllParallel(ctx, 4) }},
+		{"Run", func() ([]*Table, error) {
+			tbl, err := Run(ctx, "E3")
+			if tbl != nil {
+				return []*Table{tbl}, err
+			}
+			return nil, err
+		}},
+	}
+	for _, r := range runs {
+		before := sharedCache.Stats().Lookups
+		tables, err := r.run()
+		if n := sharedCache.Stats().Lookups - before; n != 0 {
+			t.Errorf("%s: cancelled run made %d cache lookups", r.name, n)
+		}
+		if !errors.Is(err, cancel.ErrCanceled) {
+			t.Errorf("%s: err = %v, want cancel.ErrCanceled", r.name, err)
+		}
+		if tables != nil {
+			t.Errorf("%s: got %d tables from a cancelled run", r.name, len(tables))
+		}
+	}
+}
+
 // TestCSRangeSensitivityShape asserts E17: longer carrier-sense ranges
 // lower the mean idleness monotonically.
 func TestCSRangeSensitivityShape(t *testing.T) {
-	tbl, err := CSRangeSensitivity()
+	tbl, err := CSRangeSensitivity(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -429,7 +468,7 @@ func TestCSRangeSensitivityShape(t *testing.T) {
 // the paper's Fig. 2 pattern — routes mostly shared, with a divergence
 // between average-e2eD and e2eTD (flow 5 on this seed).
 func TestFig2RouteDivergence(t *testing.T) {
-	tbl, err := Fig2Topology()
+	tbl, err := Fig2Topology(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -456,7 +495,7 @@ func TestFig2RouteDivergence(t *testing.T) {
 // TestDemandSweepConservativeAlwaysBest asserts E11's conclusion at
 // every load level.
 func TestDemandSweepConservativeAlwaysBest(t *testing.T) {
-	tbl, err := DemandSweep()
+	tbl, err := DemandSweep(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,7 +512,7 @@ func TestDemandSweepConservativeAlwaysBest(t *testing.T) {
 // TestRateDiversityDominance asserts E12: the multirate profile admits
 // at least as much demand as every single-rate variant.
 func TestRateDiversityDominance(t *testing.T) {
-	tbl, err := RateDiversityAblation()
+	tbl, err := RateDiversityAblation(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}

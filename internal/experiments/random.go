@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 
@@ -48,7 +49,7 @@ func Fig2Setup() (*topology.Network, *conflict.Physical, []routing.Request, erro
 // Fig2Topology reproduces experiment E3 (Fig. 2): the random topology
 // and the routes chosen by average-e2eD versus e2eTD, highlighting where
 // they differ (the paper's solid versus dotted arrows).
-func Fig2Topology() (*Table, error) {
+func Fig2Topology(ctx context.Context) (*Table, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -62,7 +63,7 @@ func Fig2Topology() (*Table, error) {
 	}
 	var admitted []core.Flow
 	for i, req := range reqs {
-		idle, err := routing.BackgroundIdleness(net, m, admitted, queryOptions())
+		idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -90,7 +91,7 @@ func Fig2Topology() (*Table, error) {
 			nodesString(avgNodes), nodesString(tdNodes), differs)
 		// Admit along the average-e2eD path when feasible, to evolve
 		// the background like the paper's run.
-		res, err := core.AvailableBandwidth(m, admitted, avgPath, queryOptions())
+		res, err := core.AvailableBandwidthContext(ctx, m, admitted, avgPath, queryOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -105,7 +106,7 @@ func Fig2Topology() (*Table, error) {
 // Fig3Routing reproduces experiment E4 (Fig. 3): the available bandwidth
 // of each flow's path under the three routing metrics, flows joining one
 // by one until a demand cannot be met.
-func Fig3Routing() (*Table, error) {
+func Fig3Routing(ctx context.Context) (*Table, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -118,7 +119,7 @@ func Fig3Routing() (*Table, error) {
 	results := make(map[routing.Metric][]routing.Decision, 3)
 	firstFail := make(map[routing.Metric]int, 3)
 	for _, metric := range routing.AllMetrics() {
-		decs, err := routing.SequentialAdmission(net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
+		decs, err := routing.SequentialAdmissionContext(ctx, net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -163,14 +164,14 @@ func Fig3Routing() (*Table, error) {
 // FirstFailures runs the Fig. 3 admission and returns the first-failure
 // index per metric (NumFlows+1 when every flow fits) — the headline
 // ordering statistic, used by tests and benches.
-func FirstFailures() (map[routing.Metric]int, error) {
+func FirstFailures(ctx context.Context) (map[routing.Metric]int, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
 	}
 	out := make(map[routing.Metric]int, 3)
 	for _, metric := range routing.AllMetrics() {
-		decs, err := routing.SequentialAdmission(net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
+		decs, err := routing.SequentialAdmissionContext(ctx, net, m, metric, reqs, routing.AdmissionOptions{StopAtFirstFailure: true, Core: queryOptions()})
 		if err != nil {
 			return nil, err
 		}
@@ -188,8 +189,8 @@ func FirstFailures() (map[routing.Metric]int, error) {
 // Fig4Estimation reproduces experiment E5 (Fig. 4): for the paths found
 // by average-e2eD, the five distributed estimators versus the exact
 // value as background traffic accumulates flow by flow.
-func Fig4Estimation() (*Table, error) {
-	rows, err := Fig4Series()
+func Fig4Estimation(ctx context.Context) (*Table, error) {
+	rows, err := Fig4Series(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -245,7 +246,7 @@ type Fig4Row struct {
 // average-e2eD paths; before each join, the new path's exact available
 // bandwidth and all five estimates are recorded against the accumulated
 // background.
-func Fig4Series() ([]Fig4Row, error) {
+func Fig4Series(ctx context.Context) ([]Fig4Row, error) {
 	net, m, reqs, err := Fig2Setup()
 	if err != nil {
 		return nil, err
@@ -253,7 +254,7 @@ func Fig4Series() ([]Fig4Row, error) {
 	var admitted []core.Flow
 	var rows []Fig4Row
 	for i, req := range reqs {
-		idle, err := routing.BackgroundIdleness(net, m, admitted, queryOptions())
+		idle, err := routing.BackgroundIdlenessContext(ctx, net, m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}
@@ -261,14 +262,14 @@ func Fig4Series() ([]Fig4Row, error) {
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.AvailableBandwidth(m, admitted, path, queryOptions())
+		res, err := core.AvailableBandwidthContext(ctx, m, admitted, path, queryOptions())
 		if err != nil {
 			return nil, err
 		}
 		if res.Status != lp.Optimal {
 			return nil, fmt.Errorf("flow %d: availability LP %v", i+1, res.Status)
 		}
-		sched, err := routing.BackgroundSchedule(m, admitted, queryOptions())
+		sched, err := routing.BackgroundScheduleContext(ctx, m, admitted, queryOptions())
 		if err != nil {
 			return nil, err
 		}

@@ -7,11 +7,14 @@
 package experiments
 
 import (
+	"context"
 	"fmt"
 	"io"
 	"runtime"
 	"strings"
 	"sync"
+
+	"abw/internal/cancel"
 )
 
 // Table is a rendered experiment result.
@@ -127,8 +130,9 @@ func (t *Table) RenderMarkdown(w io.Writer) error {
 	return err
 }
 
-// Runner produces one experiment table.
-type Runner func() (*Table, error)
+// Runner produces one experiment table; ctx reaches every enumeration
+// and LP the experiment runs.
+type Runner func(ctx context.Context) (*Table, error)
 
 // Registry maps experiment IDs (DESIGN.md Sec. 2) to their drivers, in
 // run order.
@@ -160,34 +164,39 @@ func Registry() []struct {
 	}
 }
 
-// Run executes one experiment by ID.
-func Run(id string) (*Table, error) {
+// Run executes one experiment by ID. A cancelled ctx stops it with an
+// error satisfying errors.Is(err, cancel.ErrCanceled).
+func Run(ctx context.Context, id string) (*Table, error) {
 	for _, e := range Registry() {
 		if strings.EqualFold(e.ID, id) {
-			return e.Run()
+			return runOne(ctx, e.Run)
 		}
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q", id)
 }
 
-// RunAll executes every experiment in order.
-func RunAll() ([]*Table, error) {
-	var out []*Table
-	for _, e := range Registry() {
-		tbl, err := e.Run()
-		if err != nil {
-			return out, fmt.Errorf("experiments: %s: %w", e.ID, err)
-		}
-		out = append(out, tbl)
+// runOne starts run only under a live ctx, so a cancelled run starts
+// no experiment even where its first steps never poll ctx (a memo hit,
+// for one, answers without enumerating).
+func runOne(ctx context.Context, run Runner) (*Table, error) {
+	if ctx.Err() != nil {
+		return nil, cancel.Cause(ctx)
 	}
-	return out, nil
+	return run(ctx)
+}
+
+// RunAll executes every experiment in order; see RunAllParallel.
+func RunAll(ctx context.Context) ([]*Table, error) {
+	return RunAllParallel(ctx, 1)
 }
 
 // RunAllParallel executes every experiment concurrently with at most
 // workers goroutines (0 means GOMAXPROCS) and returns the tables in
-// registry order. Experiments are independent and deterministic, so the
-// output is identical to RunAll.
-func RunAllParallel(workers int) ([]*Table, error) {
+// registry order, or no tables and the first failure in registry
+// order. Experiments are independent and deterministic, so the output
+// is identical to RunAll. A cancelled ctx stops the run promptly with
+// an error satisfying errors.Is(err, cancel.ErrCanceled).
+func RunAllParallel(ctx context.Context, workers int) ([]*Table, error) {
 	reg := Registry()
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -204,7 +213,7 @@ func RunAllParallel(workers int) ([]*Table, error) {
 		go func() {
 			defer wg.Done()
 			for i := range jobs {
-				tables[i], errs[i] = reg[i].Run()
+				tables[i], errs[i] = runOne(ctx, reg[i].Run)
 			}
 		}()
 	}

@@ -13,22 +13,24 @@ import "go/ast"
 //     sibling named <fn>Context) without forwarding any context is a
 //     dropped-context finding;
 //  2. context.Background()/context.TODO() are banned in non-test
-//     library code except inside a delegation shim — a function whose
-//     whole body is `return <callee>Context(context.Background(), ...)`,
-//     the documented adapter from the context-free API surface;
+//     library code: a library function that needs a context takes one,
+//     so no internal package keeps a context-free twin of a Context
+//     entry point;
 //  3. storing a context in a struct field outlives the call it scopes
 //     (the context package's own first rule); the field declaration is
 //     the finding.
 //
-// Package main is exempt from check 2: commands mint their root
-// contexts. Test files are exempt from checks 2 and 3 (tests mint
-// contexts freely) but not from check 1 — a test helper that takes a
-// ctx and drops it hides exactly the regression this rule exists for.
+// Package main and the root abw facade are exempt from check 2:
+// commands mint their root contexts, and the facade's context-free
+// methods are the entry point for library callers. Test files are
+// exempt from checks 2 and 3 (tests mint contexts freely) but not from
+// check 1 — a test helper that takes a ctx and drops it hides exactly
+// the regression this rule exists for.
 var AnalyzerCtxflow = &Analyzer{
 	Name: "ctxflow",
 	Doc: "context.Context must flow to every cancellation-capable callee: " +
 		"dropped ctx on a call with a Context variant, context.Background/TODO " +
-		"outside delegation shims and package main, or a ctx stored in a " +
+		"outside package main and the abw facade, or a ctx stored in a " +
 		"struct field (guards Sec. 12: cancellation points)",
 	Run: runCtxflow,
 }
@@ -41,7 +43,7 @@ func runCtxflow(p *Pass) {
 	for _, n := range cg.ByDecl {
 		p.checkCtxCalls(n)
 	}
-	if p.Pkg.Name() != "main" {
+	if name := p.Pkg.Name(); name != "main" && name != "abw" {
 		for _, n := range cg.ByDecl {
 			p.checkCtxBackground(n)
 		}
@@ -130,52 +132,10 @@ func (p *Pass) checkCtxBackground(n *FuncNode) {
 	if p.InTestFile(n.Decl.Pos()) {
 		return
 	}
-	shim := isDelegationShim(p, n.Decl)
 	ast.Inspect(n.Decl.Body, func(c ast.Node) bool {
-		call, ok := c.(*ast.CallExpr)
-		if !ok || !isCtxMint(p, call) {
-			return true
+		if call, ok := c.(*ast.CallExpr); ok && isCtxMint(p, call) {
+			p.Reportf(call.Pos(), "context.%s() in library code severs cancellation; accept a ctx parameter (only package main and the abw facade mint contexts)", p.calleeFunc(call).Name())
 		}
-		if shim && isShimMint(n.Decl, call) {
-			return true
-		}
-		fn := p.calleeFunc(call)
-		p.Reportf(call.Pos(), "context.%s() in library code severs cancellation; accept a ctx parameter or delegate through a single-return shim", fn.Name())
 		return true
 	})
-}
-
-// isDelegationShim reports whether fd is the documented adapter shape:
-// no context parameter, and a body that is exactly one return statement
-// whose single result calls a context-accepting function with a fresh
-// Background/TODO context as its first argument.
-func isDelegationShim(p *Pass, fd *ast.FuncDecl) bool {
-	if ctxParamOf(p.Info, fd) != nil {
-		return false
-	}
-	if fd.Body == nil || len(fd.Body.List) != 1 {
-		return false
-	}
-	ret, ok := fd.Body.List[0].(*ast.ReturnStmt)
-	if !ok || len(ret.Results) != 1 {
-		return false
-	}
-	call, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-	if !ok || len(call.Args) == 0 || !isCtxMint(p, call.Args[0]) {
-		return false
-	}
-	callee := p.calleeFunc(call)
-	return callee != nil && takesContext(callee)
-}
-
-// isShimMint reports whether call is the Background/TODO mint in shim
-// position: the first argument of the single returned call.
-func isShimMint(fd *ast.FuncDecl, mint *ast.CallExpr) bool {
-	ret := fd.Body.List[0].(*ast.ReturnStmt)
-	outer, ok := ast.Unparen(ret.Results[0]).(*ast.CallExpr)
-	if !ok || len(outer.Args) == 0 {
-		return false
-	}
-	first, ok := ast.Unparen(outer.Args[0]).(*ast.CallExpr)
-	return ok && first == mint
 }

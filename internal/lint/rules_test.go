@@ -92,6 +92,13 @@ func TestTimenowMainExempt(t *testing.T) {
 	checkFixture(t, AnalyzerTimenow, "timenow_main")
 }
 
+// TestCtxflowFacadeExempt pins the root-facade exemption: the
+// Background/TODO mints that fail in a library package pass in package
+// abw, while a dropped ctx is still a finding there.
+func TestCtxflowFacadeExempt(t *testing.T) {
+	checkFixture(t, AnalyzerCtxflow, "ctxflow_facade")
+}
+
 // TestAnalyzersRegistry pins the registry contract: sorted by name,
 // unique, every rule documented and runnable.
 func TestAnalyzersRegistry(t *testing.T) {

@@ -1,6 +1,6 @@
 // Package ctxflow exercises abw/ctxflow: dropped contexts at calls
-// with a Context variant, fresh Background/TODO mints outside the
-// delegation-shim shape, ctx struct fields, and suppression.
+// with a Context variant, fresh Background/TODO mints in library code
+// (context-free shims included), ctx struct fields, and suppression.
 package ctxflow
 
 import "context"
@@ -25,10 +25,11 @@ func stepContext(ctx context.Context, n int) error {
 	return work(ctx, n)
 }
 
-// step is the documented adapter shape: a single-return delegation
-// shim minting Background as the variant's first argument. Allowed.
+// step is a context-free twin of stepContext: a single-return shim
+// minting Background. Library packages keep one ctx-first entry, so
+// the shim is a finding.
 func step(n int) error {
-	return stepContext(context.Background(), n)
+	return stepContext(context.Background(), n) // want "context.Background() in library code"
 }
 
 // drops receives a ctx but calls the context-free step, severing the
@@ -47,7 +48,7 @@ func mintsFresh(ctx context.Context, n int) error {
 	return work(context.Background(), n) // want "context.Background() in library code"
 }
 
-// tooBig is not a shim — two statements — so its mint is a finding.
+// tooBig mints inside a longer body; a finding like any other mint.
 func tooBig(n int) error {
 	m := n + 1
 	return work(context.Background(), m) // want "context.Background() in library code"
@@ -60,9 +61,9 @@ func (c *client) fetchContext(ctx context.Context, n int) error {
 	return work(ctx, n)
 }
 
-// fetch is a method-shaped delegation shim. Allowed.
+// fetch is a method-shaped context-free twin; a finding like step.
 func (c *client) fetch(n int) error {
-	return c.fetchContext(context.Background(), n)
+	return c.fetchContext(context.Background(), n) // want "context.Background() in library code"
 }
 
 // dropsMethod has a ctx and calls the context-free method variant.

@@ -1,6 +1,7 @@
 package lp
 
 import (
+	"context"
 	"math"
 	"testing"
 )
@@ -24,7 +25,7 @@ func FuzzSimplex(f *testing.F) {
 		if !ok {
 			return
 		}
-		sol, err := p.Solve()
+		sol, err := p.SolveContext(context.Background())
 		if err != nil {
 			// Malformed inputs are screened out by the decoder, so the
 			// only sanctioned error is the pivot-limit bailout.

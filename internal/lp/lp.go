@@ -258,19 +258,13 @@ const (
 // the uncancellable path pays only the nil-Checker branch.
 const pivotCheckEvery = 16
 
-// Solve runs two-phase primal simplex. It returns an error only on
-// malformed problems or on an internal failure to converge; infeasible
-// and unbounded programs come back as Solutions with the matching
-// Status.
-func (p *Problem) Solve() (*Solution, error) {
-	sol, _, err := p.solve(nil)
-	return sol, err
-}
-
-// SolveContext is Solve under a context: the simplex loop polls
-// ctx.Done() between pivots and abandons the solve with an error
-// satisfying errors.Is(err, cancel.ErrCanceled) once ctx is cancelled.
-// An uncancelled solve returns exactly what Solve would.
+// SolveContext runs two-phase primal simplex. It returns an error only
+// on malformed problems or on an internal failure to converge;
+// infeasible and unbounded programs come back as Solutions with the
+// matching Status. The simplex loop polls ctx.Done() between pivots and
+// abandons the solve with an error satisfying errors.Is(err,
+// cancel.ErrCanceled) once ctx is cancelled; an uncancellable ctx
+// (context.Background()) pays only the nil-Checker branch.
 func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageLPSolve)
 	defer tm.End()
@@ -281,7 +275,7 @@ func (p *Problem) SolveContext(ctx context.Context) (*Solution, error) {
 	return sol, err
 }
 
-// solve is Solve returning the final tableau alongside the solution so
+// solve is SolveContext returning the final tableau alongside the solution so
 // WarmSolver (warm.go) can retain it across right-hand-side changes.
 // The tableau is nil unless phase 2 ran to optimality (only then is the
 // retained basis dual-feasible, the warm-start precondition). A nil chk
@@ -320,7 +314,7 @@ func (p *Problem) solve(chk *cancel.Checker) (*Solution, *tableau, error) {
 
 // SetRHS replaces the right-hand side of constraint k (in insertion
 // order). WarmSolver turns this into an incremental tableau update;
-// a plain Solve simply rebuilds from the new value.
+// a plain SolveContext simply rebuilds from the new value.
 func (p *Problem) SetRHS(k int, rhs float64) error {
 	if k < 0 || k >= len(p.cons) {
 		return fmt.Errorf("lp: constraint %d out of range", k)
@@ -345,8 +339,8 @@ func (p *Problem) RHS(k int) float64 {
 }
 
 // tableau is the dense simplex state: rows are B^-1·A with the rhs
-// column B^-1·b appended, in constraint order. Solve builds one per
-// call; WarmSolver keeps the final tableau alive so a bound change can
+// column B^-1·b appended, in constraint order. SolveContext builds one
+// per call; WarmSolver keeps the final tableau alive so a bound change can
 // update the rhs column through the retained inverse (see warm.go).
 type tableau struct {
 	t     [][]float64

@@ -16,7 +16,7 @@ import (
 // constraint matrix (set rate vectors, path membership) is fixed while
 // the per-link background demands — pure RHS — move between steps.
 //
-// After a cold Solve, the final tableau is retained. Its rows are
+// After a cold SolveContext, the final tableau is retained. Its rows are
 // B⁻¹·A with the rhs column B⁻¹·b, and each row's original identity
 // column (the LE slack, or the GE/EQ artificial, kept in the tableau
 // even though barred from the basis) currently holds B⁻¹·e_row. A
@@ -27,14 +27,14 @@ import (
 // cleanup pass that re-establishes the exact optimality criterion the
 // cold path uses. When anything about the warm path is off — structure
 // grew, the dual loop stalls, a basic artificial resurfaces above
-// tolerance, or dual simplex claims infeasibility — Resolve falls back
-// to a cold solve, so its answers always match Problem.Solve within
-// pivotTol-scale arithmetic noise.
+// tolerance, or dual simplex claims infeasibility — ResolveContext falls
+// back to a cold solve, so its answers always match Problem.SolveContext
+// within pivotTol-scale arithmetic noise.
 //
 // A WarmSolver owns its Problem between calls: the caller may change
 // bounds through SetRHS and objective coefficients through the
-// Problem's SetObjCoef (the next Resolve then runs cold), but must not
-// add variables or constraints after the first Solve without expecting
+// Problem's SetObjCoef (the next resolve then runs cold), but must not
+// add variables or constraints after the first solve without expecting
 // cold re-solves.
 //
 // WarmSolver is not safe for concurrent use.
@@ -53,8 +53,8 @@ type WarmSolver struct {
 	warmCount  int
 }
 
-// NewWarmSolver wraps p. The first Solve (or Resolve) runs cold and
-// retains the tableau.
+// NewWarmSolver wraps p. The first SolveContext (or ResolveContext)
+// runs cold and retains the tableau.
 func NewWarmSolver(p *Problem) *WarmSolver {
 	return &WarmSolver{p: p}
 }
@@ -62,15 +62,11 @@ func NewWarmSolver(p *Problem) *WarmSolver {
 // Problem returns the wrapped problem.
 func (w *WarmSolver) Problem() *Problem { return w.p }
 
-// Solve runs a cold two-phase solve and retains the final tableau for
-// later warm resolves. Only an Optimal tableau is retained: that is
-// the dual-feasibility precondition warm-starting needs.
-func (w *WarmSolver) Solve() (*Solution, error) {
-	return w.SolveContext(context.Background())
-}
-
-// SolveContext is Solve under a context; see Problem.SolveContext. A
-// cancelled solve retains no tableau, so the next call rebuilds cold.
+// SolveContext runs a cold two-phase solve and retains the final
+// tableau for later warm resolves. Only an Optimal tableau is retained:
+// that is the dual-feasibility precondition warm-starting needs. See
+// Problem.SolveContext for ctx; a cancelled solve retains no tableau,
+// so the next call rebuilds cold.
 func (w *WarmSolver) SolveContext(ctx context.Context) (*Solution, error) {
 	tm := obs.SpanFrom(ctx).StartStage(obs.StageLPSolve)
 	defer tm.End()
@@ -97,7 +93,7 @@ func (w *WarmSolver) retain(tb *tableau) {
 
 // SetRHS changes the right-hand side of constraint k and, when a
 // tableau is retained, pushes the change through the retained inverse
-// so the next Resolve can start warm.
+// so the next ResolveContext can start warm.
 func (w *WarmSolver) SetRHS(k int, rhs float64) error {
 	old := w.p.RHS(k)
 	if err := w.p.SetRHS(k, rhs); err != nil {
@@ -132,27 +128,23 @@ func (w *WarmSolver) SetRHS(k int, rhs float64) error {
 	return nil
 }
 
-// Resolve solves the problem as it currently stands. When the retained
-// tableau is usable it runs the warm path — dual simplex to restore
-// primal feasibility, then a primal cleanup — and reports warm=true;
-// otherwise (no tableau, structural growth, or any warm-path bailout)
-// it re-solves cold and retains the fresh tableau.
+// ResolveContext solves the problem as it currently stands. When the
+// retained tableau is usable it runs the warm path — dual simplex to
+// restore primal feasibility, then a primal cleanup — and reports
+// warm=true; otherwise (no tableau, structural growth, or any warm-path
+// bailout) it re-solves cold and retains the fresh tableau.
 //
 // When nothing changed since the tableau's last optimum — no AddVar,
 // AddConstraint, SetObjCoef or value-changing SetRHS — and the tableau
 // passes the warm path's feasibility checks, the warm path would price
 // once, find no entering column and return the same point at 0 pivots.
-// Resolve then skips the pricing and extracts that point directly; it
+// The pricing is then skipped and that point extracted directly; it
 // still counts as a warm resolve with 0 pivots.
-func (w *WarmSolver) Resolve() (*Solution, bool, error) {
-	return w.ResolveContext(context.Background())
-}
-
-// ResolveContext is Resolve under a context: both the warm dual loop
-// and any cold fallback poll ctx between pivots. A cancelled resolve
-// discards the retained tableau (it may be mid-pivot-sequence), so the
-// next call after cancellation simply runs cold — correctness is never
-// entrusted to a half-repaired basis.
+//
+// Both the warm dual loop and any cold fallback poll ctx between
+// pivots. A cancelled resolve discards the retained tableau (it may be
+// mid-pivot-sequence), so the next call after cancellation simply runs
+// cold — correctness is never entrusted to a half-repaired basis.
 func (w *WarmSolver) ResolveContext(ctx context.Context) (*Solution, bool, error) {
 	// The timer starts on the warm stage and is re-labeled lp_solve if
 	// the attempt falls through to a cold solve, so each resolve is
@@ -200,7 +192,7 @@ func (w *WarmSolver) ResolveContext(ctx context.Context) (*Solution, bool, error
 // plus rhs column, 8·rows·(cols+1) bytes, and the per-row and
 // per-column bookkeeping). The tableau is charged at the shape the
 // problem builds whether or not one is retained right now — the next
-// Resolve retains one — so the charge depends only on the problem.
+// resolve retains one — so the charge depends only on the problem.
 func (w *WarmSolver) RetainedBytes() int64 {
 	const (
 		headerBytes     = 256 // WarmSolver, Problem and tableau structs
@@ -238,13 +230,13 @@ func coefMapBytes(k int) int64 {
 	return headerBytes + int64(slots)*slotBytes
 }
 
-// LastPivots returns the pivot count of the most recent Solve/Resolve.
+// LastPivots returns the pivot count of the most recent solve or resolve.
 func (w *WarmSolver) LastPivots() int { return w.lastPivots }
 
-// LastWarm reports whether the most recent Resolve took the warm path.
+// LastWarm reports whether the most recent resolve took the warm path.
 func (w *WarmSolver) LastWarm() bool { return w.lastWarm }
 
-// WarmResolves returns how many Resolve calls took the warm path.
+// WarmResolves returns how many ResolveContext calls took the warm path.
 func (w *WarmSolver) WarmResolves() int { return w.warmCount }
 
 // dualResolve runs dual simplex on the retained tableau to repair

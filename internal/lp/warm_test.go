@@ -105,7 +105,7 @@ func assertAgrees(t *testing.T, trial, step int, warm, cold *Solution) {
 
 // TestWarmMatchesColdOnBoundChanges is the Sec. 8-style warm-start
 // invariant: over randomized programs and randomized bound-change
-// sequences, every Resolve answer equals a from-scratch solve of the
+// sequences, every ResolveContext answer equals a from-scratch solve of the
 // same data — same status, same optimum within warmTol.
 func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 	rng := rand.New(rand.NewSource(20260806))
@@ -113,11 +113,11 @@ func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 	for trial := 0; trial < 120; trial++ {
 		p := randomWarmLP(rng)
 		w := NewWarmSolver(p)
-		sol, err := w.Solve()
+		sol, err := w.SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: cold solve: %v", trial, err)
 		}
-		coldRef, err := cloneProblem(p).Solve()
+		coldRef, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatalf("trial %d: reference solve: %v", trial, err)
 		}
@@ -129,14 +129,14 @@ func TestWarmMatchesColdOnBoundChanges(t *testing.T) {
 			if err := w.SetRHS(k, dyadic(rng)+2); err != nil {
 				t.Fatalf("trial %d step %d: SetRHS: %v", trial, step, err)
 			}
-			got, warm, err := w.Resolve()
+			got, warm, err := w.ResolveContext(context.Background())
 			if err != nil {
 				t.Fatalf("trial %d step %d: resolve: %v", trial, step, err)
 			}
 			if warm {
 				warmResolves++
 			}
-			want, err := cloneProblem(p).Solve()
+			want, err := cloneProblem(p).SolveContext(context.Background())
 			if err != nil {
 				t.Fatalf("trial %d step %d: reference solve: %v", trial, step, err)
 			}
@@ -186,7 +186,7 @@ func TestWarmPivotSavings(t *testing.T) {
 	}
 	p := build()
 	w := NewWarmSolver(p)
-	if _, err := w.Solve(); err != nil {
+	if _, err := w.SolveContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	warmPivots, coldPivots := 0, 0
@@ -195,11 +195,11 @@ func TestWarmPivotSavings(t *testing.T) {
 		if err := w.SetRHS(k, float64(rng.Intn(13))/4); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := w.Resolve()
+		got, _, err := w.ResolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
-		want, err := cloneProblem(p).Solve()
+		want, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -218,7 +218,7 @@ func TestWarmPivotSavings(t *testing.T) {
 
 // TestWarmStructuralGrowthFallsBackCold: adding a variable or a
 // constraint after the first solve must not poison the retained
-// tableau — the next Resolve goes cold and is still correct.
+// tableau — the next ResolveContext goes cold and is still correct.
 func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 	p := NewProblem(Maximize)
 	x := p.AddVar("x", 1)
@@ -226,7 +226,7 @@ func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWarmSolver(p)
-	sol, err := w.Solve()
+	sol, err := w.SolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 	if err := p.AddConstraint("capY", map[Var]float64{y: 1}, LE, 3); err != nil {
 		t.Fatal(err)
 	}
-	got, warm, err := w.Resolve()
+	got, warm, err := w.ResolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -251,7 +251,7 @@ func TestWarmStructuralGrowthFallsBackCold(t *testing.T) {
 	if err := w.SetRHS(0, 5); err != nil {
 		t.Fatal(err)
 	}
-	got, _, err = w.Resolve()
+	got, _, err = w.ResolveContext(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -273,7 +273,7 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 		t.Fatal(err)
 	}
 	w := NewWarmSolver(p)
-	if _, err := w.Solve(); err != nil {
+	if _, err := w.SolveContext(context.Background()); err != nil {
 		t.Fatal(err)
 	}
 	for step, tc := range []struct {
@@ -288,14 +288,14 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 		if err := w.SetRHS(1, tc.rhs); err != nil {
 			t.Fatal(err)
 		}
-		got, _, err := w.Resolve()
+		got, _, err := w.ResolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
 		if got.Status != tc.want {
 			t.Fatalf("step %d (floor=%g): status %v, want %v", step, tc.rhs, got.Status, tc.want)
 		}
-		want, err := cloneProblem(p).Solve()
+		want, err := cloneProblem(p).SolveContext(context.Background())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -310,14 +310,14 @@ func TestWarmInfeasibleTransitions(t *testing.T) {
 func armedWarm(t *testing.T, rng *rand.Rand, trial int) *WarmSolver {
 	t.Helper()
 	w := NewWarmSolver(randomWarmLP(rng))
-	if _, err := w.Solve(); err != nil {
+	if _, err := w.SolveContext(context.Background()); err != nil {
 		t.Fatalf("trial %d: cold solve: %v", trial, err)
 	}
 	if trial%2 == 1 && w.tab != nil {
 		if err := w.SetRHS(rng.Intn(w.p.NumConstraints()), dyadic(rng)+2); err != nil {
 			t.Fatalf("trial %d: SetRHS: %v", trial, err)
 		}
-		if _, _, err := w.Resolve(); err != nil {
+		if _, _, err := w.ResolveContext(context.Background()); err != nil {
 			t.Fatalf("trial %d: resolve: %v", trial, err)
 		}
 	}
@@ -327,7 +327,7 @@ func armedWarm(t *testing.T, rng *rand.Rand, trial int) *WarmSolver {
 	return w
 }
 
-// armed reports whether the next Resolve takes the unchanged-resolve
+// armed reports whether the next ResolveContext takes the unchanged-resolve
 // shortcut.
 func (w *WarmSolver) armed() bool {
 	return w.tab != nil && w.p.mutations == w.solvedAt && w.tab.settled()
@@ -345,7 +345,7 @@ func sameBits(a, b *Solution) bool {
 	return true
 }
 
-// TestWarmUnchangedResolveShortcut: a Resolve with nothing changed
+// TestWarmUnchangedResolveShortcut: a ResolveContext with nothing changed
 // since the last optimum returns exactly what the full warm path (dual
 // loop plus primal cleanup) returns on that tableau — X and Objective
 // bit for bit at 0 pivots — and is accounted as a warm resolve: warm
@@ -437,11 +437,11 @@ func TestWarmShortcutInvalidation(t *testing.T) {
 				if w.armed() == c.disarm {
 					t.Fatalf("trial %d: armed=%v after the change, want %v", trial, w.armed(), !c.disarm)
 				}
-				got, _, err := w.Resolve()
+				got, _, err := w.ResolveContext(context.Background())
 				if err != nil {
 					t.Fatalf("trial %d: resolve: %v", trial, err)
 				}
-				want, err := cloneProblem(w.p).Solve()
+				want, err := cloneProblem(w.p).SolveContext(context.Background())
 				if err != nil {
 					t.Fatalf("trial %d: reference solve: %v", trial, err)
 				}
@@ -469,7 +469,7 @@ func TestWarmShortcutInvalidation(t *testing.T) {
 			if w.armed() {
 				t.Fatalf("trial %d: shortcut still armed after a cancelled resolve", trial)
 			}
-			if _, warm, err := w.Resolve(); err != nil || warm {
+			if _, warm, err := w.ResolveContext(context.Background()); err != nil || warm {
 				t.Fatalf("trial %d: resolve after cancellation: warm=%v err=%v, want a cold solve", trial, warm, err)
 			}
 			checked++

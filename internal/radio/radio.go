@@ -148,23 +148,6 @@ func NewProfile80211a(opts ...Option) *Profile {
 	return p
 }
 
-// NewProfile80211b returns a four-rate 802.11b CCK profile
-// (11/5.5/2/1 Mbps), useful for rate-diversity ablations against the
-// 802.11a profile. Ranges follow the same path-loss law as the paper's
-// 802.11a constants with the lower SINR requirements of CCK modulation.
-func NewProfile80211b(opts ...Option) *Profile {
-	p, err := NewProfile([]RateClass{
-		{Rate: 11, Range: 115, SINRdB: 10.0},
-		{Rate: 5.5, Range: 135, SINRdB: 8.0},
-		{Rate: 2, Range: 155, SINRdB: 6.0},
-		{Rate: 1, Range: 175, SINRdB: 4.0},
-	}, 4, opts...)
-	if err != nil {
-		panic(fmt.Sprintf("radio: building 802.11b profile: %v", err))
-	}
-	return p
-}
-
 // NewSingleRateProfile returns a profile restricted to one rate class —
 // the "fixed rate" regime used as an ablation baseline.
 func NewSingleRateProfile(class RateClass, exponent float64, opts ...Option) (*Profile, error) {

@@ -215,36 +215,6 @@ func TestRateString(t *testing.T) {
 	}
 }
 
-func TestNewProfile80211b(t *testing.T) {
-	p := NewProfile80211b()
-	rates := p.Rates()
-	want := []Rate{11, 5.5, 2, 1}
-	if len(rates) != len(want) {
-		t.Fatalf("rates = %v", rates)
-	}
-	for i := range want {
-		if rates[i] != want[i] {
-			t.Errorf("rate %d = %v, want %v", i, rates[i], want[i])
-		}
-	}
-	if r, ok := p.MaxRateAtDistance(100); !ok || r != 11 {
-		t.Errorf("MaxRateAtDistance(100) = (%v,%v), want 11", r, ok)
-	}
-	if r, ok := p.MaxRateAtDistance(170); !ok || r != 1 {
-		t.Errorf("MaxRateAtDistance(170) = (%v,%v), want 1", r, ok)
-	}
-	if _, ok := p.MaxRateAtDistance(180); ok {
-		t.Error("180m should be out of range")
-	}
-	// Noise calibration holds for b too.
-	for _, c := range p.Classes() {
-		thr, _ := p.SINRThreshold(c.Rate)
-		if sinr := p.RxPower(c.Range) / p.Noise(); sinr < thr-1e-9 {
-			t.Errorf("rate %v boundary SINR %.3f below threshold %.3f", c.Rate, sinr, thr)
-		}
-	}
-}
-
 func TestNewSingleRateProfile(t *testing.T) {
 	p, err := NewSingleRateProfile(RateClass{Rate: 54, Range: 59, SINRdB: 24.56}, 4)
 	if err != nil {

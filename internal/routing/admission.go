@@ -48,26 +48,15 @@ type AdmissionOptions struct {
 	Core core.Options
 }
 
-// SequentialAdmission reproduces the paper's Sec. 5.2 experiment: flows
-// join one by one; each is routed with the given metric using the
-// idleness induced by the already-admitted background, its path's exact
-// available bandwidth is computed with the Eq. 6 model, and it is
-// admitted iff the demand fits.
-func SequentialAdmission(
-	net *topology.Network,
-	m conflict.Model,
-	metric Metric,
-	requests []Request,
-	opts AdmissionOptions,
-) ([]Decision, error) {
-	return SequentialAdmissionContext(context.Background(), net, m, metric, requests, opts)
-}
-
-// SequentialAdmissionContext is SequentialAdmission under a context:
-// ctx is checked between admission steps and forwarded into each step's
-// enumeration and LP solves, so a cancelled run stops promptly with an
-// error satisfying errors.Is(err, cancel.ErrCanceled) alongside the
-// decisions completed so far. Admission state is only extended by fully
+// SequentialAdmissionContext reproduces the paper's Sec. 5.2
+// experiment: flows join one by one; each is routed with the given
+// metric using the idleness induced by the already-admitted background,
+// its path's exact available bandwidth is computed with the Eq. 6
+// model, and it is admitted iff the demand fits. ctx is checked
+// between admission steps and forwarded into each step's enumeration
+// and LP solves, so a cancelled run stops promptly with an error
+// satisfying errors.Is(err, cancel.ErrCanceled) alongside the decisions
+// completed so far. Admission state is only extended by fully
 // completed steps — cancellation never commits a half-evaluated flow.
 func SequentialAdmissionContext(
 	ctx context.Context,
@@ -159,23 +148,17 @@ func admitOne(
 	return dec, nil
 }
 
-// BackgroundIdleness derives per-node carrier-sensed idle ratios from
-// the admitted flows: the minimal-airtime schedule delivering the
+// BackgroundIdlenessContext derives per-node carrier-sensed idle ratios
+// from the admitted flows: the minimal-airtime schedule delivering the
 // admitted demands is computed (what an efficient network converges to)
 // and each node senses it. With no background, every node is fully
-// idle.
-func BackgroundIdleness(net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
-	return backgroundIdleness(context.Background(), net, m, admitted, coreOpts, nil)
-}
-
-// BackgroundIdlenessContext is BackgroundIdleness under a context: the
-// feasibility enumeration and LP poll ctx and stop promptly on
-// cancellation.
+// idle. The feasibility enumeration and LP poll ctx and stop promptly
+// on cancellation.
 func BackgroundIdlenessContext(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options) ([]float64, error) {
 	return backgroundIdleness(ctx, net, m, admitted, coreOpts, nil)
 }
 
-// backgroundIdleness is BackgroundIdleness optionally answering the
+// backgroundIdleness is BackgroundIdlenessContext optionally answering the
 // feasibility question through a session's memo.
 func backgroundIdleness(ctx context.Context, net *topology.Network, m conflict.Model, admitted []core.Flow, coreOpts core.Options, sess *core.Session) ([]float64, error) {
 	if sess != nil {
@@ -212,15 +195,10 @@ func BackgroundContext(ctx context.Context, net *topology.Network, m conflict.Mo
 	return sched, estimate.NodeIdleRatios(net, sched), nil
 }
 
-// BackgroundSchedule exposes the minimal-airtime schedule used for
-// idleness, for callers that need the schedule itself (e.g. the Fig. 4
-// estimation experiment and the simulators).
-func BackgroundSchedule(m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, error) {
-	return BackgroundScheduleContext(context.Background(), m, admitted, coreOpts)
-}
-
-// BackgroundScheduleContext is BackgroundSchedule under a context; see
-// BackgroundIdlenessContext.
+// BackgroundScheduleContext exposes the minimal-airtime schedule used
+// for idleness, for callers that need the schedule itself (e.g. the
+// Fig. 4 estimation experiment and the simulators). See
+// BackgroundIdlenessContext for ctx.
 func BackgroundScheduleContext(ctx context.Context, m conflict.Model, admitted []core.Flow, coreOpts core.Options) (schedule.Schedule, error) {
 	if len(admitted) == 0 {
 		return schedule.Schedule{}, nil

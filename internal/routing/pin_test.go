@@ -2,6 +2,7 @@ package routing_test
 
 import (
 	"bytes"
+	"context"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
@@ -54,7 +55,7 @@ func pinBackground(t testing.TB) (*topology.Network, *conflict.Physical, []routi
 	for _, r := range fig2[:4] {
 		reqs = append(reqs, routing.Request{Src: r.Src, Dst: r.Dst, Demand: r.Demand})
 	}
-	decs, err := routing.SequentialAdmission(net, m, routing.MetricAvgE2ED, reqs, routing.AdmissionOptions{})
+	decs, err := routing.SequentialAdmissionContext(context.Background(), net, m, routing.MetricAvgE2ED, reqs, routing.AdmissionOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -65,7 +66,7 @@ func pinBackground(t testing.TB) (*topology.Network, *conflict.Physical, []routi
 		}
 		admitted = append(admitted, core.Flow{Path: d.Path, Demand: d.Request.Demand})
 	}
-	idle, err := routing.BackgroundIdleness(net, m, admitted, core.Options{})
+	idle, err := routing.BackgroundIdlenessContext(context.Background(), net, m, admitted, core.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
